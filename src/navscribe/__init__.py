@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .aux_loss_math import (LossBreakdown, Vocab, WordTargets, gradient_check,
                             grad_logits, log_softmax, nll, sequence_loss,
-                            word_loss, word_loss_crafted, word_loss_objects)
+                            word_loss)
 from .config import (AuxConfig, ConfigError, FileConfig, RunConfig,
                      SamplerConfig, load_config)
 from .fixtures import (FixtureScene, all_scenes, malformed_house_cases,
@@ -26,7 +26,7 @@ from .nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
                         parse_connectivity, paths_from_json, paths_to_json,
                         sample_paths, shortest_path)
 from .object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
-                              best_object, filter_candidates, observe,
+                              Scan, best_object, filter_candidates, observe,
                               side_of_travel)
 from .render_svg import RenderSpec, render_viewpoint
 from .rng import SplitMix64
@@ -56,7 +56,7 @@ __all__ = [
     "LexiconError", "LossBreakdown", "Motion", "NavGraph", "NavMetrics",
     "ObjectRef", "ObservedObject", "Panorama", "PathSpec", "Region", "Relation",
     "RenderSpec", "RunConfig", "SaliencyConfig", "SampleResult", "SamplerConfig",
-    "SceneJsonError", "SceneModel", "SceneObject", "SplitMix64", "Turn",
+    "Scan", "SceneJsonError", "SceneModel", "SceneObject", "SplitMix64", "Turn",
     "Viewpoint", "Vocab", "WordObjectSupervision", "WordTargets",
     "ablate", "align_words_to_nodes", "all_scenes", "best_object",
     "build_supervision",
@@ -72,6 +72,5 @@ __all__ = [
     "read_supervision_json", "relative_bearing", "render_atom",
     "render_viewpoint", "sample_paths", "sequence_loss", "shortest_path",
     "side_of_travel", "tokenize", "top_n_objects", "word_loss",
-    "word_loss_crafted", "word_loss_objects", "wrap_angle", "write_scene_files",
-    "write_scene_json",
+    "wrap_angle", "write_scene_files", "write_scene_json",
 ]

@@ -112,16 +112,6 @@ def word_loss(logits: np.ndarray | Sequence[float], targets: WordTargets,
     return LossBreakdown(base, objects_term, crafted_term, total, lam, beta)
 
 
-def word_loss_objects(logits, targets: WordTargets, lam: float) -> LossBreakdown:
-    """Originals plus lambda-weighted object words."""
-    return word_loss(logits, targets, lam=lam, beta=0.0)
-
-
-def word_loss_crafted(logits, targets: WordTargets, beta: float) -> LossBreakdown:
-    """Originals plus beta-weighted crafted word."""
-    return word_loss(logits, targets, lam=0.0, beta=beta)
-
-
 def sequence_loss(logits_seq: Sequence, targets_seq: Sequence[WordTargets],
                   lam: float = 0.0, beta: float = 0.0) -> float:
     """Mean of per-word totals over a sequence."""

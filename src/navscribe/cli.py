@@ -17,8 +17,9 @@ from .instruction_crafter import craft_instruction
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, evaluate, evaluate_batch,
                                    execute, parse_crafted)
-from .nav_graph import (NavGraph, PathSpec, parse_connectivity, paths_from_json,
+from .nav_graph import (PathSpec, parse_connectivity, paths_from_json,
                         paths_to_json, sample_paths)
+from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
 from .supervision_export import (DatasetRecord, build_supervision, emit_r2r_json,
@@ -62,11 +63,11 @@ def _load_scene(path: str) -> SceneModel:
     return parse_house(text)
 
 
-def _scene_and_graph(args, cfg: RunConfig) -> tuple[SceneModel, NavGraph]:
+def _load_scan(args, cfg: RunConfig) -> Scan:
     scene = _load_scene(_resolve(args.house, cfg.files.scene, "scene file (--house)"))
     conn = _resolve(args.connectivity, cfg.files.graph, "connectivity file (--connectivity)")
     graph = parse_connectivity(_read(conn), scan_id=scene.scan_id)
-    return scene, graph
+    return Scan(scene, graph, cfg.saliency)
 
 
 def _out_path(args, cfg: RunConfig) -> str:
@@ -87,10 +88,9 @@ def _cmd_parse_scene(args) -> int:
 
 def _cmd_sample_paths(args) -> int:
     cfg = _run_config(args)
-    _, graph = _scene_and_graph(args, cfg)
     sampler = cfg.sampler
     result = sample_paths(
-        graph,
+        _load_scan(args, cfg).graph,
         n=sampler.n if args.n is None else args.n,
         seed=sampler.seed if args.seed is None else args.seed,
         min_hops=sampler.min_hops if args.min_hops is None else args.min_hops,
@@ -105,12 +105,12 @@ def _cmd_sample_paths(args) -> int:
 
 def _cmd_craft(args) -> int:
     cfg = _run_config(args)
-    scene, graph = _scene_and_graph(args, cfg)
+    scan = _load_scan(args, cfg)
     sample = paths_from_json(_read(_resolve(args.paths, cfg.files.paths,
                                             "sampled paths file (--paths)")))
     records = []
     for path_id, path in enumerate(sample.paths):
-        crafted = craft_instruction(scene, graph, path, cfg.saliency)
+        crafted = craft_instruction(scan, path)
         records.append(DatasetRecord(
             path_id=path_id,
             scan=path.scan,
@@ -125,16 +125,14 @@ def _cmd_craft(args) -> int:
 
 def _cmd_supervise(args) -> int:
     cfg = _run_config(args)
-    scene, graph = _scene_and_graph(args, cfg)
+    scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
     n = cfg.aux.n_objects if args.n_objects is None else args.n_objects
     supervisions = []
     for record in records:
         path = PathSpec(record.scan, record.path, record.heading, record.distance)
-        supervisions.append(build_supervision(
-            scene, graph, path, record.instructions[0], cfg.saliency, n,
-            path_id=record.path_id,
-        ))
+        supervisions.append(build_supervision(scan, path, record.instructions[0], n,
+                                              path_id=record.path_id))
     _write(_out_path(args, cfg), emit_supervision_json(supervisions))
     return 0
 
@@ -162,7 +160,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _run_config(args)
-    scene, graph = _scene_and_graph(args, cfg)
+    scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
     rows = []
     metrics = []
@@ -172,14 +170,13 @@ def _cmd_validate(args) -> int:
         try:
             atoms = parse_crafted(record.instructions[0])
             parse_ok = True
-            result = execute(graph, scene, record.path[0], record.heading,
-                             atoms, cfg.saliency)
+            result = execute(scan, record.path[0], record.heading, atoms)
         except InstructionParseError:
             parse_ok = False
             result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
                                      stopped=False, failure_reason="instruction did not parse")
         round_trip = parse_ok and result.stopped and result.path == record.path
-        metrics.append(evaluate(graph, gold, result, args.success_radius))
+        metrics.append(evaluate(scan.graph, gold, result, args.success_radius))
         all_good = all_good and parse_ok and round_trip
         rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
                      "round_trip": round_trip})
@@ -199,10 +196,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_render(args) -> int:
     cfg = _run_config(args)
-    scene, graph = _scene_and_graph(args, cfg)
+    scan = _load_scan(args, cfg)
     spec = RenderSpec(viewpoint=args.viewpoint, radius=args.radius,
                       width=args.width, height=args.height)
-    _write(_out_path(args, cfg), render_viewpoint(scene, graph, spec))
+    _write(_out_path(args, cfg), render_viewpoint(scan.scene, scan.graph, spec))
     return 0
 
 

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .nav_graph import NavGraph, PathSpec
-from .object_saliency import Relation, SaliencyConfig, best_object, filter_candidates, observe, side_of_travel
-from .scene_metadata import SceneModel
+from .nav_graph import PathSpec
+from .object_saliency import Relation, Scan, best_object, side_of_travel
 from .view_geometry import Vec3, heading_to, relative_bearing
 
 # Turn classification bounds (radians, signed bearing to the next node).
@@ -133,21 +132,23 @@ def classify_vertical(delta_z: float, cross_region: bool) -> Motion:
     return Motion.WALK_STRAIGHT
 
 
-def _panorama_region(scene: SceneModel, vid: str) -> int | None:
-    for pano in scene.panoramas:
-        if pano.name == vid:
-            return pano.region_index
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Crafting
 # ---------------------------------------------------------------------------
 
 
-def atomic_for_edge(scene: SceneModel, graph: NavGraph, cfg: SaliencyConfig,
-                    cur: str, nxt: str, cur_heading: float) -> tuple[AtomicInstruction, float]:
+def _anchor(scan: Scan, position: Vec3, heading: float) -> ObjectRef | None:
+    """Reference to the best object ahead of a position, if any."""
+    best = best_object(scan.candidates(position), heading, scan.cfg.fov)
+    if best is None:
+        return None
+    return ObjectRef(best.category, side_of_travel(heading, best.heading))
+
+
+def atomic_for_edge(scan: Scan, cur: str, nxt: str,
+                    cur_heading: float) -> tuple[AtomicInstruction, float]:
     """Atom describing the move cur -> nxt; returns (atom, new heading)."""
+    graph = scan.graph
     if not graph.has_edge(cur, nxt):
         raise ValueError(f"({cur!r}, {nxt!r}) is not an edge")
     p_cur = graph.position(cur)
@@ -155,50 +156,31 @@ def atomic_for_edge(scene: SceneModel, graph: NavGraph, cfg: SaliencyConfig,
     target = heading_to(p_cur, p_nxt)
     turn = classify_turn(relative_bearing(cur_heading, target))
 
-    region_cur = _panorama_region(scene, cur)
-    region_nxt = _panorama_region(scene, nxt)
-    cross = region_cur is not None and region_nxt is not None and region_cur != region_nxt
+    pano_cur = scan.panoramas.get(cur)
+    pano_nxt = scan.panoramas.get(nxt)
+    cross = (pano_cur is not None and pano_nxt is not None
+             and pano_cur.region_index != pano_nxt.region_index)
     motion = classify_vertical(p_nxt[2] - p_cur[2], cross)
-
-    candidates = filter_candidates(observe(scene, p_cur, cfg.max_distance), cfg)
-    best = best_object(candidates, target, cfg.fov)
-    ref = None
-    if best is not None:
-        ref = ObjectRef(best.category, side_of_travel(target, best.heading))
-    return make_atom(turn, motion, ref), target
+    return make_atom(turn, motion, _anchor(scan, p_cur, target)), target
 
 
-def stop_atom(scene: SceneModel, node: str, incoming_heading: float,
-              cfg: SaliencyConfig) -> AtomicInstruction:
+def stop_atom(scan: Scan, node: str, incoming_heading: float) -> AtomicInstruction:
     """Terminal atom at a node, anchored on the best object ahead if any."""
-    position = _scene_position(scene, node)
-    ref = None
-    if position is not None:
-        candidates = filter_candidates(observe(scene, position, cfg.max_distance), cfg)
-        best = best_object(candidates, incoming_heading, cfg.fov)
-        if best is not None:
-            ref = ObjectRef(best.category, side_of_travel(incoming_heading, best.heading))
+    pano = scan.panoramas.get(node)
+    ref = None if pano is None else _anchor(scan, pano.position, incoming_heading)
     return make_atom(Turn.NONE, Motion.STOP, ref)
 
 
-def _scene_position(scene: SceneModel, vid: str) -> Vec3 | None:
-    for pano in scene.panoramas:
-        if pano.name == vid:
-            return pano.position
-    return None
-
-
-def craft_instruction(scene: SceneModel, graph: NavGraph, path: PathSpec,
-                      cfg: SaliencyConfig) -> CraftedInstruction:
+def craft_instruction(scan: Scan, path: PathSpec) -> CraftedInstruction:
     """One atom per edge plus a stop atom, headings threaded in order."""
     heading = path.heading_0
     atoms: list[AtomicInstruction] = []
     headings: list[float] = []
     for cur, nxt in zip(path.path, path.path[1:]):
-        atom, heading = atomic_for_edge(scene, graph, cfg, cur, nxt, heading)
+        atom, heading = atomic_for_edge(scan, cur, nxt, heading)
         atoms.append(atom)
         headings.append(heading)
-    atoms.append(stop_atom(scene, path.path[-1], heading, cfg))
+    atoms.append(stop_atom(scan, path.path[-1], heading))
     headings.append(heading)
     text = ". ".join(a.text for a in atoms) + "."
     return CraftedInstruction(tuple(atoms), text, tuple(headings))

@@ -24,8 +24,7 @@ from .instruction_crafter import (
     make_atom,
 )
 from .nav_graph import NavGraph, PathSpec, geodesic_distance, neighbors
-from .object_saliency import Relation, SaliencyConfig, best_object, filter_candidates, observe
-from .scene_metadata import SceneModel
+from .object_saliency import Relation, Scan, best_object
 from .view_geometry import heading_to, relative_bearing
 
 # Bearing the executor steers toward for each turn class.
@@ -139,8 +138,8 @@ def _valid_category(category: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def execute(graph: NavGraph, scene: SceneModel, start: str, heading_0: float,
-            atoms: list[AtomicInstruction], cfg: SaliencyConfig) -> ExecutionResult:
+def execute(scan: Scan, start: str, heading_0: float,
+            atoms: list[AtomicInstruction]) -> ExecutionResult:
     """Walk the atoms from start, one graph move per non-stop atom.
 
     Each move picks the neighbor minimizing the absolute bearing error
@@ -148,6 +147,7 @@ def execute(graph: NavGraph, scene: SceneModel, start: str, heading_0: float,
     reference, neighbors whose best visible object matches that category
     score an extra -pi. Ties go to the smaller viewpoint id.
     """
+    graph = scan.graph
     graph.viewpoint(start)
     cur = start
     heading = heading_0
@@ -164,9 +164,7 @@ def execute(graph: NavGraph, scene: SceneModel, start: str, heading_0: float,
             failure = f"stranded at {cur!r}: no neighbors to move to"
             break
         p_cur = graph.position(cur)
-        candidates = None
-        if atom.object_ref is not None:
-            candidates = filter_candidates(observe(scene, p_cur, cfg.max_distance), cfg)
+        candidates = None if atom.object_ref is None else scan.candidates(p_cur)
         want = heading + CLASS_CENTER[atom.turn]
 
         chosen = None
@@ -176,7 +174,7 @@ def execute(graph: NavGraph, scene: SceneModel, start: str, heading_0: float,
             nbr_heading = heading_to(p_cur, graph.position(nbr))
             score = abs(relative_bearing(want, nbr_heading))
             if candidates is not None:
-                seen = best_object(candidates, nbr_heading, cfg.fov)
+                seen = best_object(candidates, nbr_heading, scan.cfg.fov)
                 if seen is not None and seen.category == atom.object_ref.category:
                     score -= OBJECT_MATCH_BONUS
             if score < chosen_score:

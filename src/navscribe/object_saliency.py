@@ -7,10 +7,12 @@ twice from one position is ambiguous to talk about, so both copies drop out.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .scene_metadata import SceneModel, category_name
+from .nav_graph import NavGraph
+from .scene_metadata import Panorama, SceneModel, category_name
 from .view_geometry import (
     FovConfig,
     ObservedObject,
@@ -103,7 +105,35 @@ def filter_candidates(observed: list[ObservedObject], cfg: SaliencyConfig) -> li
     ]
 
 
-def best_object(candidates: list[ObservedObject], target_heading: float,
+class Scan:
+    """One scan's viewpoint facts, built once per command.
+
+    Holds the scene, graph and saliency settings, panoramas by name, and a
+    lazily filled table of the mentionable objects seen from each position.
+    The table is keyed by position, not viewpoint id, because a viewpoint has
+    two: edge clauses, the executor and supervision observe from the
+    connectivity pose, stop clauses from the scene's panorama record. Merging
+    them changes output bytes (ROADMAP.md, open item 3). Only filtered
+    candidates are stored, to keep the table small.
+    """
+
+    def __init__(self, scene: SceneModel, graph: NavGraph, cfg: SaliencyConfig) -> None:
+        self.scene = scene
+        self.graph = graph
+        self.cfg = cfg
+        self.panoramas: dict[str, Panorama] = {p.name: p for p in scene.panoramas}
+        self._candidates: dict[Vec3, tuple[ObservedObject, ...]] = {}
+
+    def candidates(self, position: Vec3) -> tuple[ObservedObject, ...]:
+        """Mentionable objects seen from a position, nearest first."""
+        found = self._candidates.get(position)
+        if found is None:
+            found = self._candidates[position] = tuple(
+                filter_candidates(observe(self.scene, position, self.cfg.max_distance), self.cfg))
+        return found
+
+
+def best_object(candidates: Sequence[ObservedObject], target_heading: float,
                 fov: FovConfig) -> ObservedObject | None:
     """Candidate most aligned with the travel direction, or None.
 

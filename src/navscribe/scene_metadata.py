@@ -540,6 +540,11 @@ def read_scene_json(text: str) -> SceneModel:
             for i, entry in enumerate(doc[section])
         ]
 
+    # Same canonical form as .house names, so the blacklist matches on both paths.
+    for i, c in enumerate(parsed["categories"]):
+        if c["name"] != " ".join(c["name"].lower().split()):
+            raise SceneJsonError(f"category name {c['name']!r} is not lowercase and "
+                                 "single-spaced", f"$.categories[{i}].name")
     categories = [Category(**c) for c in parsed["categories"]]
     regions = [Region(**r) for r in parsed["regions"]]
     objects = [SceneObject(**o) for o in parsed["objects"]]

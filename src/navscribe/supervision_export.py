@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass
 
 from .jsonio import dumps as json_dumps
-from .nav_graph import NavGraph, PathSpec
-from .object_saliency import SaliencyConfig, filter_candidates, observe
-from .scene_metadata import SceneModel, head_noun
+from .nav_graph import PathSpec
+from .object_saliency import Scan
+from .scene_metadata import head_noun
 
 # Characters stripped from tokens before use, wherever instructions are tokenized.
 PUNCTUATION = ".,;:!?\"'"
@@ -70,8 +70,7 @@ def align_words_to_nodes(num_tokens: int, num_nodes: int) -> list[int]:
     return [(2 * i * span + steps) // (2 * steps) for i in range(num_tokens)]
 
 
-def top_n_objects(scene: SceneModel, graph: NavGraph, node: str,
-                  cfg: SaliencyConfig, n: int) -> list[str]:
+def top_n_objects(scan: Scan, node: str, n: int) -> list[str]:
     """Head nouns of the n most salient objects visible from a node.
 
     Salience ranks by projected area descending, then distance ascending,
@@ -79,8 +78,7 @@ def top_n_objects(scene: SceneModel, graph: NavGraph, node: str,
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    position = graph.position(node)
-    candidates = filter_candidates(observe(scene, position, cfg.max_distance), cfg)
+    candidates = scan.candidates(scan.graph.position(node))
     ranked = sorted(candidates, key=lambda o: (-o.area, o.distance, o.object_index))
     out: list[str] = []
     for cand in ranked:
@@ -92,8 +90,7 @@ def top_n_objects(scene: SceneModel, graph: NavGraph, node: str,
     return out
 
 
-def build_supervision(scene: SceneModel, graph: NavGraph, path: PathSpec,
-                      instruction: str, cfg: SaliencyConfig, n: int,
+def build_supervision(scan: Scan, path: PathSpec, instruction: str, n: int,
                       path_id: int = 0) -> WordObjectSupervision:
     """Token-to-node alignment plus per-token object labels for one instruction."""
     tokens = tokenize(instruction)
@@ -103,7 +100,7 @@ def build_supervision(scene: SceneModel, graph: NavGraph, path: PathSpec,
     per_node: dict[int, tuple[str, ...]] = {}
     for node_idx in node_of_token:
         if node_idx not in per_node:
-            per_node[node_idx] = tuple(top_n_objects(scene, graph, path.path[node_idx], cfg, n))
+            per_node[node_idx] = tuple(top_n_objects(scan, node=path.path[node_idx], n=n))
     return WordObjectSupervision(
         path_id=path_id,
         tokens=tuple(tokens),

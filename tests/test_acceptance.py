@@ -7,6 +7,7 @@ offending cases.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from navscribe.instruction_executor import (ExecutionResult, evaluate, execute,
                                             parse_crafted)
 from navscribe.nav_graph import (PathSpec, parse_connectivity, sample_paths,
                                  shortest_path)
-from navscribe.object_saliency import Relation, SaliencyConfig
+from navscribe.object_saliency import Relation, SaliencyConfig, Scan
 from navscribe.scene_metadata import HouseParseError, parse_house
 from navscribe.supervision_export import align_words_to_nodes, tokenize
 from navscribe.text_ablation import (AblationMode, ablate, load_default_lexicon)
@@ -88,17 +89,18 @@ def test_01_crafted_instructions_round_trip():
     total = 0
     started = time.perf_counter()
     for name, (scene, graph) in _bundles().items():
+        scan = Scan(scene, graph, cfg)
         result = sample_paths(graph, n=70, seed=SEED)
         if result.shortfall:
             failures.append(f"{name}: short by {result.shortfall} paths")
         for path in result.paths:
             total += 1
-            crafted = craft_instruction(scene, graph, path, cfg)
+            crafted = craft_instruction(scan, path)
             atoms = tuple(parse_crafted(crafted.text))
             if atoms != crafted.atoms:
                 failures.append(f"{name}: parse changed atoms for {path.path}")
                 continue
-            run = execute(graph, scene, path.path[0], path.heading_0, atoms, cfg)
+            run = execute(scan, path.path[0], path.heading_0, atoms)
             if not (run.stopped and run.path == path.path):
                 failures.append(f"{name}: diverged on {path.path} -> {run.path}")
     elapsed = time.perf_counter() - started
@@ -215,39 +217,90 @@ def test_05_word_to_node_alignment_properties():
                 "length pair up to 40", failures)
 
 
+# SHA-256 of every pipeline artifact and the exit codes of its six commands
+# (sample-paths, craft, supervise, ablate, validate, render) on each bundled
+# fixture. Refactors must keep these bytes; a deliberate output change
+# updates them in the same commit.
+PIPELINE_GOLDEN = {
+    "loop0": {
+        "codes": [0, 0, 0, 0, 0, 0],
+        "paths.json": "8a8ab33086b31bb366eafe782e010db1e1887c0a5dc77a36708e129006a61c8f",
+        "dataset.json": "1302b16d1f459cd7eb62272b3707f47fdc0c64504fefebd24d93f15e40ec241b",
+        "supervision.json": "a6d997dd79eefe9d1342a2cf7d70032c913f3af6ee0071c72c719e2c90dc398e",
+        "nouns.json": "8bf4b6263e272832c5dbd539eed7bb42ee82d499d615c318d55596e5c833e2dd",
+        "validate.json": "9ea2496cddcb27bdb4ff17582509678797eff7024939c409625663bf2f9d9a9d",
+        "view.svg": "d97beb873374417ba62b00d70f111fcba76dec4157442ff76fa15fb111cf0404",
+    },
+    "stairs0": {
+        "codes": [0, 0, 0, 0, 0, 0],
+        "paths.json": "9c8f3a806a6a8a44dd00d9cb8da4e7b9298181abc46d1702e7d374c0b9a15982",
+        "dataset.json": "b2139d582ec087819976daba49d973e67150adae7790e224864abdf9395721c3",
+        "supervision.json": "0be27a56225520c82a81721592cdfbab15cbafbcc0e332dee24745ccb1019933",
+        "nouns.json": "a7818f68087ec627b6d05e3b76d67516f5344995afe803ef0660e50c8e47abb8",
+        "validate.json": "24989d21bd2635918186df19e990f8c7d005aa85623aef1a72292d2e5f2f94ea",
+        "view.svg": "bb140a0369d31d84500c0ae7aa73151425702b990c1125a543c2b838ec0227bf",
+    },
+    "hub0": {
+        "codes": [0, 0, 0, 0, 0, 0],
+        "paths.json": "de4a6d42c064938f83f4e6828e197381c647d767a2618fecd9115def8d0ca004",
+        "dataset.json": "c4de3b1feb121052681368b84e0246824a04058a4b533b8a529f3eae58888663",
+        "supervision.json": "ef85fc1b061e7ef8a837fbb261f6519cfd7e0fa5725b4351c9b8571cd74d60f5",
+        "nouns.json": "bde8f16025c103f31bf50cff2add1378faced6ee5016f9f022846eb66e794d99",
+        "validate.json": "28b7c9933abc37a49ee868395d81dbbbdf804c49e02c8e6357c29f2b1a98123b",
+        "view.svg": "fd24b3a23052068e586369c9f13ed4873aa7fb817608b7f5be239050c1a0ca34",
+    },
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_pipeline(scene_dir, out, name: str) -> tuple[list[int], dict[str, str]]:
+    """Run the CLI pipeline on one fixture; returns exit codes and digests."""
+    args = ["--house", str(scene_dir / f"{name}.house"),
+            "--connectivity", str(scene_dir / f"{name}_connectivity.json")]
+    out.mkdir(parents=True)
+    files = {f: out / f for f in ("paths.json", "dataset.json", "supervision.json",
+                                  "nouns.json", "validate.json", "view.svg")}
+    codes = [
+        main(["sample-paths", *args, "--n", "25", "--seed", str(SEED),
+              "--out", str(files["paths.json"])]),
+        main(["craft", *args, "--paths", str(files["paths.json"]),
+              "--out", str(files["dataset.json"])]),
+        main(["supervise", *args, "--dataset", str(files["dataset.json"]),
+              "--out", str(files["supervision.json"])]),
+        main(["ablate", "--dataset", str(files["dataset.json"]), "--mode", "nouns",
+              "--out", str(files["nouns.json"])]),
+        main(["validate", *args, "--dataset", str(files["dataset.json"]),
+              "--out", str(files["validate.json"])]),
+        main(["render", *args, "--viewpoint", f"{name}_vp03",
+              "--radius", "5.0", "--out", str(files["view.svg"])]),
+    ]
+    return codes, {f: _sha256(path) for f, path in files.items()}
+
+
 def test_06_pipeline_is_byte_deterministic(tmp_path):
     failures: list[str] = []
     scene_dir = tmp_path / "scenes"
     scene_dir.mkdir()
     for fx in all_scenes():
         write_scene_files(fx, scene_dir)
-    args = ["--house", str(scene_dir / "loop0.house"),
-            "--connectivity", str(scene_dir / "loop0_connectivity.json")]
 
-    def run(tag: str) -> dict[str, bytes]:
-        out = tmp_path / tag
-        out.mkdir()
-        paths, dataset = out / "paths.json", out / "dataset.json"
-        supervision, svg = out / "supervision.json", out / "view.svg"
-        codes = [
-            main(["sample-paths", *args, "--n", "25", "--seed", str(SEED),
-                  "--out", str(paths)]),
-            main(["craft", *args, "--paths", str(paths), "--out", str(dataset)]),
-            main(["supervise", *args, "--dataset", str(dataset),
-                  "--out", str(supervision)]),
-            main(["render", *args, "--viewpoint", "loop0_vp03",
-                  "--radius", "5.0", "--out", str(svg)]),
-        ]
-        if any(code != 0 for code in codes):
-            failures.append(f"run {tag}: exit codes {codes}")
-        return {p.name: p.read_bytes() for p in (dataset, supervision, svg)}
-
-    first, second = run("one"), run("two")
-    for name in first:
-        if first[name] != second[name]:
-            failures.append(f"{name} differs between runs")
-    _verdict(6, "two pipeline runs produce byte-identical dataset, "
-                "supervision, and SVG files", failures)
+    for fx in all_scenes():
+        first = _run_pipeline(scene_dir, tmp_path / "one" / fx.name, fx.name)
+        second = _run_pipeline(scene_dir, tmp_path / "two" / fx.name, fx.name)
+        if first != second:
+            failures.append(f"{fx.name}: two runs differ")
+        codes, digests = first
+        golden = PIPELINE_GOLDEN[fx.name]
+        if codes != golden["codes"]:
+            failures.append(f"{fx.name}: exit codes {codes}, golden {golden['codes']}")
+        for artifact, digest in digests.items():
+            if digest != golden[artifact]:
+                failures.append(f"{fx.name}: {artifact} digest changed")
+    _verdict(6, "two pipeline runs per fixture produce byte-identical artifacts "
+                "that match the golden digests", failures)
 
 
 def test_07_house_parser_conformance():

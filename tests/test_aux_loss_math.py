@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from navscribe.aux_loss_math import (GRAD_CHECK_TOLERANCE, LossBreakdown, Vocab,
                                      WordTargets, finite_difference_grad,
                                      grad_logits, gradient_check, log_softmax,
-                                     nll, sequence_loss, word_loss,
-                                     word_loss_crafted, word_loss_objects)
+                                     nll, sequence_loss, word_loss)
 
 # 10 equally likely classes; each NLL is ln 10.
 LN10 = math.log(10.0)
@@ -50,14 +49,14 @@ class TestFrozenValues:
     def test_three_originals_plus_crafted_uniform(self):
         # 3 * ln10 + 1 * ln10 with all classes tied.
         targets = WordTargets((0, 1, 2), crafted=3)
-        out = word_loss_crafted(np.zeros(10), targets, beta=1.0)
+        out = word_loss(np.zeros(10), targets, beta=1.0)
         assert out.total == pytest.approx(4 * LN10, abs=1e-12)
         assert out.total == pytest.approx(9.210340371976184, abs=1e-9)
 
     def test_default_weights_uniform(self):
         # 3 * ln10 for the originals plus 0.3 * ln10 for the crafted word.
         targets = WordTargets((0, 0, 0), crafted=5)
-        out = word_loss_crafted(np.zeros(10), targets, beta=0.3)
+        out = word_loss(np.zeros(10), targets, beta=0.3)
         assert out.total == pytest.approx(3.3 * LN10, abs=1e-12)
         assert out.total == pytest.approx(7.598530806880351, abs=1e-9)
 
@@ -81,7 +80,7 @@ class TestWordLoss:
 
     def test_objects_only_helper(self):
         targets = WordTargets((1, 1, 1), objects=(0, 2))
-        out = word_loss_objects([0.3, 0.1, -0.2], targets, lam=0.5)
+        out = word_loss([0.3, 0.1, -0.2], targets, lam=0.5)
         assert out.beta == 0.0
         assert out.total == pytest.approx(out.base + 0.5 * out.objects_term)
 

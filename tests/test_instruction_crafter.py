@@ -10,7 +10,7 @@ from navscribe.instruction_crafter import (Motion, ObjectRef, Turn, atomic_for_e
                                            classify_turn, classify_vertical,
                                            craft_instruction, make_atom, render_atom)
 from navscribe.nav_graph import PathSpec, shortest_path
-from navscribe.object_saliency import Relation, SaliencyConfig
+from navscribe.object_saliency import Relation, Scan
 
 EIGHTH = math.pi / 8
 
@@ -90,14 +90,14 @@ class TestCrafting:
             panoramas=[("n0", 0, positions["n0"]), ("n1", 0, positions["n1"])],
         )
         path = PathSpec("mini", ("n0", "n1"), 0.0, 2.0)
-        crafted = craft_instruction(scene, graph, path, saliency)
+        crafted = craft_instruction(Scan(scene, graph, saliency), path)
         assert crafted.text == ("Turn left, walk straight down the left of the painting. "
                                 "Stop there.")
 
     def test_atom_per_edge_plus_stop(self, loop_bundle, saliency):
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp00", "loop0_vp05")
-        crafted = craft_instruction(scene, graph, path, saliency)
+        crafted = craft_instruction(Scan(scene, graph, saliency), path)
         assert len(crafted.atoms) == path.hops + 1
         assert len(crafted.headings) == len(crafted.atoms)
         assert crafted.atoms[-1].motion is Motion.STOP
@@ -106,40 +106,37 @@ class TestCrafting:
     def test_hub_edges_anchor_on_unique_objects(self, hub_bundle, saliency):
         scene, graph = hub_bundle
         path = shortest_path(graph, "hub0_vp00", "hub0_vp04")
-        crafted = craft_instruction(scene, graph, path, saliency)
+        crafted = craft_instruction(Scan(scene, graph, saliency), path)
         first = crafted.atoms[0]
         assert first.object_ref is not None
         assert first.object_ref.category == "piano"
 
     def test_stair_edges_become_vertical_clauses(self, stairs_bundle, saliency):
         scene, graph = stairs_bundle
-        up = craft_instruction(scene, graph,
-                               shortest_path(graph, "stairs0_vp05", "stairs0_vp09"),
-                               saliency)
+        scan = Scan(scene, graph, saliency)
+        up = craft_instruction(scan, shortest_path(graph, "stairs0_vp05", "stairs0_vp09"))
         motions = [a.motion for a in up.atoms]
         assert motions.count(Motion.GO_UP) == 2
         assert "up the stairs" in up.text
 
-        down = craft_instruction(scene, graph,
-                                 shortest_path(graph, "stairs0_vp14", "stairs0_vp17"),
-                                 saliency)
+        down = craft_instruction(scan, shortest_path(graph, "stairs0_vp14", "stairs0_vp17"))
         assert Motion.GO_DOWN in [a.motion for a in down.atoms]
 
     def test_headings_follow_edge_directions(self, square_graph, saliency):
         scene = build_scene(objects=[], panoramas=[])
         path = PathSpec("square", ("va", "vb", "vc"), 0.0, 2.0)
-        crafted = craft_instruction(scene, square_graph, path, saliency)
+        crafted = craft_instruction(Scan(scene, square_graph, saliency), path)
         assert crafted.headings[0] == pytest.approx(math.pi / 2)  # east
         assert crafted.headings[1] == pytest.approx(0.0)          # north
 
     def test_crafting_is_deterministic(self, loop_bundle, saliency):
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp02", "loop0_vp08")
-        a = craft_instruction(scene, graph, path, saliency)
-        b = craft_instruction(scene, graph, path, saliency)
+        a = craft_instruction(Scan(scene, graph, saliency), path)
+        b = craft_instruction(Scan(scene, graph, saliency), path)
         assert a == b
 
     def test_non_edge_rejected(self, square_graph, saliency):
         scene = build_scene(objects=[], panoramas=[])
         with pytest.raises(ValueError, match="not an edge"):
-            atomic_for_edge(scene, square_graph, saliency, "va", "vc", 0.0)
+            atomic_for_edge(Scan(scene, square_graph, saliency), "va", "vc", 0.0)

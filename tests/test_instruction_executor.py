@@ -13,7 +13,7 @@ from navscribe.instruction_executor import (ExecutionResult, InstructionParseErr
                                             NavMetrics, evaluate, evaluate_batch,
                                             execute, parse_crafted)
 from navscribe.nav_graph import PathSpec, shortest_path
-from navscribe.object_saliency import Relation, SaliencyConfig
+from navscribe.object_saliency import Relation, Scan
 
 EMPTY_SCENE = build_scene(objects=[], panoramas=[])
 
@@ -96,9 +96,9 @@ class TestExecute:
         from navscribe.instruction_crafter import craft_instruction
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp01", "loop0_vp07")
-        crafted = craft_instruction(scene, graph, path, saliency)
-        result = execute(graph, scene, path.path[0], path.heading_0,
-                         list(crafted.atoms), saliency)
+        scan = Scan(scene, graph, saliency)
+        crafted = craft_instruction(scan, path)
+        result = execute(scan, path.path[0], path.heading_0, list(crafted.atoms))
         assert result.stopped
         assert result.path == path.path
         assert result.failure_reason is None
@@ -107,7 +107,7 @@ class TestExecute:
         graph = build_graph({"a": (0.0, 0.0, 1.5), "b": (0.0, -2.0, 1.5)}, [("a", "b")])
         atoms = [make_atom(Turn.RIGHT, Motion.WALK_STRAIGHT),
                  make_atom(Turn.NONE, Motion.STOP)]
-        result = execute(graph, EMPTY_SCENE, "a", 0.0, atoms, saliency)
+        result = execute(Scan(EMPTY_SCENE, graph, saliency), "a", 0.0, atoms)
         assert result.path == ("a", "b")
         assert result.stopped
 
@@ -126,8 +126,9 @@ class TestExecute:
         anchored = [make_atom(Turn.NONE, Motion.WALK_STRAIGHT,
                               ObjectRef("piano", Relation.TOWARD)),
                     make_atom(Turn.NONE, Motion.STOP)]
-        assert execute(graph, scene, "s", 0.5, bare, saliency).path == ("s", "u")
-        assert execute(graph, scene, "s", 0.5, anchored, saliency).path == ("s", "v")
+        scan = Scan(scene, graph, saliency)
+        assert execute(scan, "s", 0.5, bare).path == ("s", "u")
+        assert execute(scan, "s", 0.5, anchored).path == ("s", "v")
 
     def test_exact_tie_goes_to_smaller_id(self, saliency):
         positions = {"s": (0.0, 0.0, 1.5), "a_west": (-2.0, 0.0, 1.5),
@@ -135,20 +136,20 @@ class TestExecute:
         graph = build_graph(positions, [("s", "a_west"), ("s", "b_east")])
         atoms = [make_atom(Turn.NONE, Motion.WALK_STRAIGHT),
                  make_atom(Turn.NONE, Motion.STOP)]
-        result = execute(graph, EMPTY_SCENE, "s", 0.0, atoms, saliency)
+        result = execute(Scan(EMPTY_SCENE, graph, saliency), "s", 0.0, atoms)
         assert result.path == ("s", "a_west")
 
     def test_stop_atom_halts_immediately(self, saliency):
         graph = build_graph({"a": (0.0, 0.0, 1.5), "b": (2.0, 0.0, 1.5)}, [("a", "b")])
         atoms = [make_atom(Turn.NONE, Motion.STOP),
                  make_atom(Turn.NONE, Motion.WALK_STRAIGHT)]
-        result = execute(graph, EMPTY_SCENE, "a", 0.0, atoms, saliency)
+        result = execute(Scan(EMPTY_SCENE, graph, saliency), "a", 0.0, atoms)
         assert result.stopped and result.path == ("a",)
 
     def test_isolated_node_reports_failure(self, saliency):
         graph = build_graph({"a": (0.0, 0.0, 1.5)}, [])
         atoms = [make_atom(Turn.NONE, Motion.WALK_STRAIGHT)]
-        result = execute(graph, EMPTY_SCENE, "a", 0.0, atoms, saliency)
+        result = execute(Scan(EMPTY_SCENE, graph, saliency), "a", 0.0, atoms)
         assert not result.stopped
         assert result.failure_reason is not None
         assert result.path == ("a",)
@@ -157,7 +158,7 @@ class TestExecute:
         graph = build_graph({"a": (0.0, 0.0, 1.5), "b": (2.0, 0.0, 1.5)}, [("a", "b")])
         atoms = [make_atom(Turn.RIGHT, Motion.WALK_STRAIGHT),
                  make_atom(Turn.NONE, Motion.STOP)]
-        result = execute(graph, EMPTY_SCENE, "a", 0.0, atoms, saliency)
+        result = execute(Scan(EMPTY_SCENE, graph, saliency), "a", 0.0, atoms)
         assert result.final_heading == pytest.approx(math.pi / 2)
 
 

@@ -6,9 +6,16 @@ import math
 import pytest
 
 from conftest import build_scene
+from navscribe import object_saliency
+from navscribe.fixtures import all_scenes
+from navscribe.instruction_crafter import craft_instruction
+from navscribe.instruction_executor import execute, parse_crafted
+from navscribe.nav_graph import parse_connectivity, sample_paths
 from navscribe.object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
-                                       best_object, filter_candidates, observe,
+                                       Scan, best_object, filter_candidates, observe,
                                        side_of_travel)
+from navscribe.scene_metadata import parse_house
+from navscribe.supervision_export import build_supervision
 from navscribe.view_geometry import FovConfig
 
 EYE = (0.0, 0.0, 1.5)
@@ -142,3 +149,43 @@ def test_config_validation():
         SaliencyConfig(max_distance=0.0)
     with pytest.raises(ValueError):
         SaliencyConfig(min_area=-0.1)
+
+
+def _fixture_scans():
+    for fx in all_scenes():
+        scene = parse_house(fx.house_text)
+        graph = parse_connectivity(fx.connectivity_text, scan_id=scene.scan_id)
+        yield Scan(scene, graph, SaliencyConfig())
+
+
+class TestScan:
+    def test_candidates_match_uncached_reference(self):
+        for scan in _fixture_scans():
+            positions = [v.position for v in scan.graph.viewpoints]
+            positions += [p.position for p in scan.scene.panoramas]
+            for p in positions:
+                reference = tuple(filter_candidates(
+                    observe(scan.scene, p, scan.cfg.max_distance), scan.cfg))
+                assert scan.candidates(p) == reference
+                assert scan.candidates(p) == reference  # served from the table
+
+    def test_pipeline_observes_each_position_once(self, monkeypatch):
+        seen: list[tuple[float, ...]] = []
+
+        def counting_observe(scene, position, max_distance):
+            seen.append(tuple(position))
+            return observe(scene, position, max_distance)
+
+        monkeypatch.setattr(object_saliency, "observe", counting_observe)
+        scan = next(_fixture_scans())
+        for path in sample_paths(scan.graph, n=20, seed=7).paths:
+            crafted = craft_instruction(scan, path)
+            build_supervision(scan, path, crafted.text, n=2)
+            execute(scan, path.path[0], path.heading_0, parse_crafted(crafted.text))
+        assert seen
+        assert len(seen) == len(set(seen))
+
+    def test_entries_are_immutable_tuples(self):
+        scan = next(_fixture_scans())
+        entry = scan.candidates(scan.graph.viewpoints[0].position)
+        assert isinstance(entry, tuple)

@@ -154,6 +154,16 @@ class TestSceneJson:
             read_scene_json(json.dumps(doc))
         assert "objects[1]" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["Floor", "king  bed", " bed", "bed ", "coffee\ttable"])
+    def test_non_canonical_category_name_rejected(self, tiny_scene, name):
+        # The .house path lowercases names, so "Floor" would dodge the
+        # case-sensitive blacklist only when read from scene JSON.
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["categories"][1]["name"] = name
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(json.dumps(doc))
+        assert err.value.json_path == "$.categories[1].name"
+
     def test_not_an_object_document(self):
         with pytest.raises(SceneJsonError):
             read_scene_json("[1, 2]")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import build_graph, build_scene
 from navscribe.nav_graph import PathSpec, shortest_path
-from navscribe.object_saliency import SaliencyConfig
+from navscribe.object_saliency import SaliencyConfig, Scan
 from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision,
                                           align_words_to_nodes, build_supervision,
                                           emit_r2r_json, emit_supervision_json,
@@ -80,22 +80,22 @@ class TestTopN:
 
     def test_ranked_by_area_with_head_noun_dedupe(self):
         scene, graph = self._bundle()
-        cfg = SaliencyConfig()
-        assert top_n_objects(scene, graph, "p0", cfg, 2) == ["bed", "closet"]
-        assert top_n_objects(scene, graph, "p0", cfg, 4) == ["bed", "closet", "lamp"]
+        scan = Scan(scene, graph, SaliencyConfig())
+        assert top_n_objects(scan, "p0", 2) == ["bed", "closet"]
+        assert top_n_objects(scan, "p0", 4) == ["bed", "closet", "lamp"]
 
     def test_n_must_be_positive(self):
         scene, graph = self._bundle()
         with pytest.raises(ValueError):
-            top_n_objects(scene, graph, "p0", SaliencyConfig(), 0)
+            top_n_objects(Scan(scene, graph, SaliencyConfig()), "p0", 0)
 
 
 class TestBuildSupervision:
     def test_shapes_and_coverage(self, loop_bundle, saliency):
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp00", "loop0_vp05")
-        sup = build_supervision(scene, graph, path, "Walk straight. Stop there.",
-                                saliency, n=2, path_id=9)
+        sup = build_supervision(Scan(scene, graph, saliency), path,
+                                "Walk straight. Stop there.", n=2, path_id=9)
         assert sup.path_id == 9
         assert sup.tokens == ("walk", "straight", "stop", "there")
         assert len(sup.node_of_token) == 4
@@ -108,7 +108,7 @@ class TestBuildSupervision:
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp00", "loop0_vp05")
         with pytest.raises(ValueError, match="tokens"):
-            build_supervision(scene, graph, path, "...", saliency, n=2)
+            build_supervision(Scan(scene, graph, saliency), path, "...", n=2)
 
 
 def _record(path_id=0, **kw):
