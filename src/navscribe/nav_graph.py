@@ -145,6 +145,8 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
         for k, value in enumerate(pose):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not a number")
+            if not math.isfinite(value):
+                raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not finite")
         row = entry["unobstructed"]
         if not isinstance(row, list) or len(row) != n:
             raise ConnectivityError(
@@ -159,6 +161,8 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
         height = entry["height"]
         if isinstance(height, bool) or not isinstance(height, (int, float)):
             raise ConnectivityError(f"node {i} ({vid!r}): height is not a number")
+        if not math.isfinite(height):
+            raise ConnectivityError(f"node {i} ({vid!r}): height is not finite")
         position = (float(pose[3]), float(pose[7]), float(pose[11]))
         viewpoints.append(Viewpoint(vid, position, float(height), bool(entry["included"])))
         unobstructed.append([bool(v) for v in row])

@@ -6,7 +6,9 @@ twice from one position is ambiguous to talk about, so both copies drop out.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,6 +33,10 @@ DEFAULT_BLACKLIST = frozenset(
 # Bearing window (radians) around straight ahead treated as "toward".
 TOWARD_HALF_WIDTH = math.pi / 12
 
+_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+# center, object index, category name, projected area, mentionable
+_GridEntry = tuple[Vec3, int, str, float, bool]
+
 
 class Relation(Enum):
     """Side of an object the agent passes on, or head-on approach."""
@@ -49,9 +55,9 @@ class SaliencyConfig:
     fov: FovConfig = field(default_factory=FovConfig)
 
     def __post_init__(self) -> None:
-        if self.max_distance <= 0.0:
+        if not self.max_distance > 0.0:  # NaN too: observe would keep every object
             raise ValueError(f"max_distance must be positive, got {self.max_distance}")
-        if self.min_area < 0.0:
+        if not self.min_area >= 0.0:
             raise ValueError(f"min_area must be non-negative, got {self.min_area}")
 
 
@@ -61,7 +67,7 @@ def observe(scene: SceneModel, position: Vec3, max_distance: float) -> list[Obse
     Distance is 3D Euclidean to the object center, closed at the bound.
     The unique flag marks categories appearing exactly once in this list.
     """
-    if max_distance <= 0.0:
+    if not max_distance > 0.0:
         raise ValueError(f"max_distance must be positive, got {max_distance}")
     picked: list[ObservedObject] = []
     counts: dict[str, int] = {}
@@ -115,6 +121,19 @@ class Scan:
     connectivity pose, stop clauses from the scene's panorama record. Merging
     them changes output bytes (ROADMAP.md, open item 3). Only filtered
     candidates are stored, to keep the table small.
+
+    A table entry equals ``tuple(filter_candidates(observe(...), cfg))`` but
+    is computed from a uniform grid over the object centers, built on the
+    first query. The cell edge is ``max_distance`` plus a margin of 1e-9 of
+    it and a few ulps of the scene's extent, so float rounding in a cell key
+    cannot put an in-range object outside the 3x3x3 cells around the query.
+    ``math.dist(position, center) <= max_distance`` stays the one in-range
+    decision, as in ``observe``. Uniqueness counts every in-range object by
+    category name, since two category records may share a name; only the
+    mentionable, unique survivors become ``ObservedObject``s. Positions must
+    be finite, as every reader guarantees, to have a cell key. The grid is
+    pure Python: importing numpy would add its code pages to the peak RSS of
+    every command process, for no speed gain at these sizes.
     """
 
     def __init__(self, scene: SceneModel, graph: NavGraph, cfg: SaliencyConfig) -> None:
@@ -123,14 +142,56 @@ class Scan:
         self.cfg = cfg
         self.panoramas: dict[str, Panorama] = {p.name: p for p in scene.panoramas}
         self._candidates: dict[Vec3, tuple[ObservedObject, ...]] = {}
+        self._grid: dict[tuple[int, ...], list[_GridEntry]] | None = None
+        self._edge = self._reach = 0.0
 
     def candidates(self, position: Vec3) -> tuple[ObservedObject, ...]:
         """Mentionable objects seen from a position, nearest first."""
         found = self._candidates.get(position)
         if found is None:
-            found = self._candidates[position] = tuple(
-                filter_candidates(observe(self.scene, position, self.cfg.max_distance), self.cfg))
+            found = self._candidates[position] = self._mentionable_near(position)
         return found
+
+    def _build_grid(self) -> None:
+        cfg = self.cfg
+        extent = max((abs(v) for o in self.scene.objects for v in o.center), default=0.0)
+        self._edge = edge = (cfg.max_distance * (1.0 + 1e-9)
+                             + 4.0 * sys.float_info.epsilon * (cfg.max_distance + extent))
+        # No object is in range of a coordinate beyond this, and cell keys of
+        # coordinates within it cannot overflow.
+        self._reach = extent + 2.0 * edge
+        self._grid = grid = {}
+        for obj in self.scene.objects:
+            name = category_name(self.scene, obj.index)
+            area = projected_area(obj.radii)
+            key = tuple(math.floor(v / edge) for v in obj.center)
+            grid.setdefault(key, []).append(
+                (obj.center, obj.index, name, area,
+                 area >= cfg.min_area and name not in cfg.blacklist))
+
+    def _mentionable_near(self, position: Vec3) -> tuple[ObservedObject, ...]:
+        if self._grid is None:
+            self._build_grid()
+        if max(map(abs, position)) > self._reach:
+            return ()
+        max_distance, edge = self.cfg.max_distance, self._edge
+        kx, ky, kz = (math.floor(v / edge) for v in position)
+        counts: dict[str, int] = {}
+        near: list[tuple[float, int, Vec3, str, float]] = []
+        for dx, dy, dz in _NEIGHBOUR_CELLS:
+            for center, index, name, area, mentionable in self._grid.get(
+                    (kx + dx, ky + dy, kz + dz), ()):
+                distance = math.dist(position, center)
+                if distance <= max_distance:
+                    counts[name] = counts.get(name, 0) + 1
+                    if mentionable:
+                        near.append((distance, index, center, name, area))
+        near.sort()  # by (distance, object index): indices are unique
+        return tuple(
+            ObservedObject(index, name, heading_to(position, center),
+                           elevation_to(position, center), distance, area, counts[name] == 1)
+            for distance, index, center, name, area in near
+            if counts[name] == 1 or not self.cfg.require_unique)
 
 
 def best_object(candidates: Sequence[ObservedObject], target_heading: float,

@@ -490,6 +490,8 @@ def _json_vec3(value, path: str) -> Vec3:
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise SceneJsonError(f"expected number, found {item!r}", f"{path}[{i}]")
+        if not math.isfinite(item):
+            raise SceneJsonError(f"non-finite number {item!r}", f"{path}[{i}]")
         out.append(float(item))
     return (out[0], out[1], out[2])
 

@@ -133,6 +133,35 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_pose_is_located_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "loop0_connectivity.json").read_text("utf-8"))
+        doc[0]["pose"][3] = math.nan
+        conn = tmp_path / "conn.json"
+        conn.write_text(json.dumps(doc), "utf-8")
+        code = main(["sample-paths", "--house", str(workdir / "loop0.house"),
+                     "--connectivity", str(conn), "--n", "3", "--out",
+                     str(tmp_path / "paths.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: node 0 ('loop0_vp00'): pose[3] is not finite\n"
+
+    def test_non_finite_scene_json_is_located_error(self, workdir, tmp_path, capsys):
+        scene, paths = tmp_path / "scene.json", tmp_path / "paths.json"
+        assert main(["parse-scene", "--house", str(workdir / "loop0.house"),
+                     "--out", str(scene)]) == 0
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "3",
+                     "--out", str(paths)]) == 0
+        doc = json.loads(scene.read_text("utf-8"))
+        doc["objects"][0]["center"][0] = math.inf
+        scene.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        code = main(["craft", "--house", str(scene), "--connectivity",
+                     str(workdir / "loop0_connectivity.json"), "--paths", str(paths),
+                     "--out", str(tmp_path / "dataset.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: $.objects[0].center[0]: ") and err.count("\n") == 1
+
     def test_bad_subcommand_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["ablate", "--dataset", "d.json", "--mode", "verbs",

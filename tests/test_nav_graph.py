@@ -83,6 +83,19 @@ class TestParseConnectivity:
         with pytest.raises(ConnectivityError):
             parse_connectivity(text)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["pose[3]", "height"])
+    def test_non_finite_number_rejected(self, field, value):
+        entry = _entry("a", 0.0, 0.0, 0.0, True, [False, True])
+        if field == "height":
+            entry["height"] = value
+        else:
+            entry["pose"][3] = value
+        text = json.dumps([entry, _entry("b", 1.0, 0.0, 0.0, True, [True, False])])
+        with pytest.raises(ConnectivityError) as err:
+            parse_connectivity(text)
+        assert str(err.value) == f"node 0 ('a'): {field} is not finite"
+
     def test_non_list_document_rejected(self):
         with pytest.raises(ConnectivityError):
             parse_connectivity(json.dumps({"image_id": "a"}))

@@ -1,20 +1,23 @@
 """Observation, mention filtering, and object-direction relations."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import build_scene
-from navscribe import object_saliency
 from navscribe.fixtures import all_scenes
 from navscribe.instruction_crafter import craft_instruction
 from navscribe.instruction_executor import execute, parse_crafted
-from navscribe.nav_graph import parse_connectivity, sample_paths
+from navscribe.nav_graph import NavGraph, parse_connectivity, sample_paths
 from navscribe.object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
                                        Scan, best_object, filter_candidates, observe,
                                        side_of_travel)
-from navscribe.scene_metadata import parse_house
+from navscribe.scene_metadata import Category, SceneModel, SceneObject, parse_house
 from navscribe.supervision_export import build_supervision
 from navscribe.view_geometry import FovConfig
 
@@ -62,6 +65,11 @@ class TestObserve:
     def test_positive_distance_required(self):
         with pytest.raises(ValueError):
             observe(_scene(), EYE, 0.0)
+
+    def test_nan_distance_rejected(self):
+        # NaN compares false with every distance, so no object would be out of range.
+        with pytest.raises(ValueError):
+            observe(_scene(), EYE, math.nan)
 
 
 class TestFilter:
@@ -151,6 +159,12 @@ def test_config_validation():
         SaliencyConfig(min_area=-0.1)
 
 
+@pytest.mark.parametrize("field", ["max_distance", "min_area"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SaliencyConfig(**{field: math.nan})
+
+
 def _fixture_scans():
     for fx in all_scenes():
         scene = parse_house(fx.house_text)
@@ -171,12 +185,13 @@ class TestScan:
 
     def test_pipeline_observes_each_position_once(self, monkeypatch):
         seen: list[tuple[float, ...]] = []
+        kernel = Scan._mentionable_near
 
-        def counting_observe(scene, position, max_distance):
+        def counting_kernel(scan, position):
             seen.append(tuple(position))
-            return observe(scene, position, max_distance)
+            return kernel(scan, position)
 
-        monkeypatch.setattr(object_saliency, "observe", counting_observe)
+        monkeypatch.setattr(Scan, "_mentionable_near", counting_kernel)
         scan = next(_fixture_scans())
         for path in sample_paths(scan.graph, n=20, seed=7).paths:
             crafted = craft_instruction(scan, path)
@@ -189,3 +204,65 @@ class TestScan:
         scan = next(_fixture_scans())
         entry = scan.candidates(scan.graph.viewpoints[0].position)
         assert isinstance(entry, tuple)
+
+
+# Categories 0 and 1 share a name: uniqueness is decided by name, not index.
+_GRID_NAMES = ("chair", "chair", "lamp", "floor", "sofa")
+_GRID_RADII = ((0.1, 0.1, 0.1), (0.3, 0.3, 0.3), (0.5, 0.25, 0.1))
+_GRID_STEPS = [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)]
+
+
+@st.composite
+def _grid_cases(draw):
+    """Scenes whose coordinates sit on and next to multiples of max_distance."""
+    d = draw(st.sampled_from([0.1, 1 / 3, 3.5]))
+    offset = draw(st.sampled_from([0, -3, 10**10]))  # in cells; far ones stress the margin
+
+    def coord():
+        x = (offset + draw(st.integers(-3, 3))) * d
+        for _ in range(draw(st.integers(0, 2))):
+            x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+        return x
+
+    def point():
+        return (coord(), coord(), coord())
+
+    queries = [point() for _ in range(draw(st.integers(1, 3)))]
+    centers = [point() for _ in range(draw(st.integers(0, 8)))]
+    for q in queries:
+        # Each neighbour may be present or not: exactly max_distance away
+        # along an axis, and closer in each of the 26 directions.
+        for axis, sign in itertools.product(range(3), (1.0, -1.0)):
+            if draw(st.booleans()):
+                c = list(q)
+                c[axis] += sign * d
+                centers.append(tuple(c))
+        reach = draw(st.sampled_from([d / 2, d * 1e-6]))
+        for step in _GRID_STEPS:
+            if draw(st.booleans()):
+                centers.append(tuple(x + s * reach for x, s in zip(q, step)))
+    objects = tuple(
+        SceneObject(i, -1, draw(st.integers(0, len(_GRID_NAMES) - 1)), c,
+                    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), draw(st.sampled_from(_GRID_RADII)))
+        for i, c in enumerate(centers))
+    categories = tuple(Category(i, i, name, i, name) for i, name in enumerate(_GRID_NAMES))
+    scene = SceneModel("grid", categories, (), objects, ())
+    cfg = SaliencyConfig(max_distance=d, min_area=draw(st.sampled_from([0.0, 0.2, 0.36])),
+                         require_unique=draw(st.booleans()))
+    return Scan(scene, NavGraph("grid", [], {}), cfg), queries + centers
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_grid_cases())
+def test_grid_candidates_equal_filtered_observe(case):
+    scan, positions = case
+    for p in positions:
+        reference = tuple(filter_candidates(observe(scan.scene, p, scan.cfg.max_distance),
+                                            scan.cfg))
+        assert scan.candidates(p) == reference
+
+
+def test_far_position_sees_nothing():
+    # x / cell edge overflows to inf here; the index must not take its floor.
+    scan = Scan(_scene(), NavGraph("mini", [], {}), SaliencyConfig(max_distance=0.1))
+    assert scan.candidates((1e308, 0.0, 1.5)) == ()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -163,6 +164,19 @@ class TestSceneJson:
         with pytest.raises(SceneJsonError) as err:
             read_scene_json(json.dumps(doc))
         assert err.value.json_path == "$.categories[1].name"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("section,field", [("objects", "center"), ("objects", "axis0"),
+                                               ("objects", "axis1"), ("objects", "radii"),
+                                               ("panoramas", "position"),
+                                               ("regions", "bbox_hi")])
+    def test_non_finite_number_rejected(self, tiny_scene, section, field, value):
+        # parse_house rejects these through _float_token; both paths must agree.
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc[section][0][field][0] = value
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(json.dumps(doc))
+        assert err.value.json_path == f"$.{section}[0].{field}[0]"
 
     def test_not_an_object_document(self):
         with pytest.raises(SceneJsonError):
