@@ -21,6 +21,7 @@ from .instruction_crafter import (AtomicInstruction, CraftedInstruction, Motion,
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, NavMetrics, evaluate,
                                    evaluate_batch, execute, parse_crafted)
+from .jsonio import JsonSchemaError
 from .nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
                         Viewpoint, geodesic_distance, neighbors,
                         parse_connectivity, paths_from_json, paths_to_json,
@@ -52,7 +53,7 @@ __all__ = [
     "ConnectivityError", "CraftedInstruction", "DatasetRecord",
     "DEFAULT_BLACKLIST", "DEFAULT_SUCCESS_RADIUS", "ExecutionResult",
     "FileConfig", "FixtureScene", "FovConfig", "HouseParseError",
-    "InstructionParseError",
+    "InstructionParseError", "JsonSchemaError",
     "LexiconError", "LossBreakdown", "Motion", "NavGraph", "NavMetrics",
     "ObjectRef", "ObservedObject", "Panorama", "PathSpec", "Region", "Relation",
     "RenderSpec", "RunConfig", "SaliencyConfig", "SampleResult", "SamplerConfig",

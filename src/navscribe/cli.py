@@ -8,6 +8,7 @@ input fails to parse or a validation check fails, 2 for usage mistakes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import jsonio
@@ -49,6 +50,14 @@ def _resolve(flag_value: str | None, cfg_value: str | None, what: str) -> str:
     raise UsageError(f"missing {what}; pass the flag or set it in the config file")
 
 
+def _with_flags(section, args):
+    """The config section with each field whose flag was given replaced by
+    the flag's value; flag dests are named after the section's fields."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(section)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(section, **given)
+
+
 def _run_config(args) -> RunConfig:
     if args.config is None:
         return RunConfig()
@@ -88,15 +97,8 @@ def _cmd_parse_scene(args) -> int:
 
 def _cmd_sample_paths(args) -> int:
     cfg = _run_config(args)
-    sampler = cfg.sampler
-    result = sample_paths(
-        _load_scan(args, cfg).graph,
-        n=sampler.n if args.n is None else args.n,
-        seed=sampler.seed if args.seed is None else args.seed,
-        min_hops=sampler.min_hops if args.min_hops is None else args.min_hops,
-        max_hops=sampler.max_hops if args.max_hops is None else args.max_hops,
-        min_geodesic=sampler.min_geodesic if args.min_geodesic is None else args.min_geodesic,
-    )
+    result = sample_paths(_load_scan(args, cfg).graph,
+                          **dataclasses.asdict(_with_flags(cfg.sampler, args)))
     if result.shortfall:
         print(f"warning: {result.shortfall} fewer paths than requested", file=sys.stderr)
     _write(_out_path(args, cfg), paths_to_json(result))
@@ -127,7 +129,7 @@ def _cmd_supervise(args) -> int:
     cfg = _run_config(args)
     scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
-    n = cfg.aux.n_objects if args.n_objects is None else args.n_objects
+    n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
     for record in records:
         path = PathSpec(record.scan, record.path, record.heading, record.distance)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .jsonio import dumps as json_dumps
+from . import jsonio
 from .rng import SplitMix64
 from .view_geometry import TWO_PI, Vec3, heading_to
 
@@ -115,8 +115,10 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
     """Build a NavGraph from connectivity JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConnectivityError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConnectivityError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, list):
         raise ConnectivityError("expected a top-level array of viewpoints")
 
@@ -326,35 +328,25 @@ def paths_to_json(result: SampleResult) -> str:
             for p in result.paths
         ],
     }
-    return json_dumps(doc)
+    return jsonio.dumps(doc)
+
+
+_PATHS_SCHEMA = jsonio.record(
+    SampleResult,
+    shortfall=jsonio.integer,
+    paths=jsonio.array(jsonio.record(
+        lambda scan, path, heading, distance: PathSpec(scan, path, heading, distance),
+        scan=jsonio.string,
+        path=jsonio.array(jsonio.string, 1),
+        heading=jsonio.number,
+        distance=jsonio.number,
+    )),
+)
 
 
 def paths_from_json(text: str) -> SampleResult:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid paths JSON: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != {"shortfall", "paths"}:
-        raise ValueError("paths JSON must carry exactly 'shortfall' and 'paths'")
-    shortfall = doc["shortfall"]
-    if isinstance(shortfall, bool) or not isinstance(shortfall, int) or shortfall < 0:
-        raise ValueError("shortfall must be a non-negative integer")
-    if not isinstance(doc["paths"], list):
-        raise ValueError("'paths' must be an array")
-    specs = []
-    for i, entry in enumerate(doc["paths"]):
-        if not isinstance(entry, dict) or set(entry) != {"scan", "path", "heading", "distance"}:
-            raise ValueError(f"paths[{i}]: expected keys scan, path, heading, distance")
-        path = entry["path"]
-        if (not isinstance(path, list) or not path
-                or any(not isinstance(v, str) for v in path)):
-            raise ValueError(f"paths[{i}]: path must be a non-empty array of ids")
-        for field in ("heading", "distance"):
-            value = entry[field]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"paths[{i}]: {field} must be a number")
-        if not isinstance(entry["scan"], str):
-            raise ValueError(f"paths[{i}]: scan must be a string")
-        specs.append(PathSpec(entry["scan"], tuple(path),
-                              float(entry["heading"]), float(entry["distance"])))
-    return SampleResult(tuple(specs), shortfall)
+    """Read a paths file; any error is a JsonSchemaError naming its place."""
+    result = jsonio.load(text, _PATHS_SCHEMA)
+    if result.shortfall < 0:
+        raise jsonio.JsonSchemaError("expected a non-negative integer", "$.shortfall")
+    return result

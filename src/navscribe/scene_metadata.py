@@ -17,11 +17,12 @@ repaired. Parsing ignores record order: lists come back sorted by index.
 """
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .jsonio import dumps as json_dumps
+from . import jsonio
+from .jsonio import JsonSchemaError as SceneJsonError  # the scene reader's name for it
 from .view_geometry import Vec3
 
 # Tolerances for oriented-box sanity: axis norms and their mutual dot product.
@@ -36,14 +37,6 @@ class HouseParseError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
-
-
-class SceneJsonError(ValueError):
-    """Scene JSON document violating the canonical schema."""
-
-    def __init__(self, message: str, path: str = "$") -> None:
-        super().__init__(f"{path}: {message}")
-        self.json_path = path
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,7 @@ def _vec3(tokens: list[str], start: int, line: int, kind: str, what: str) -> Vec
     )
 
 
-def _require_zeros(tokens: list[str], positions: range, line: int, kind: str) -> None:
+def _require_zeros(tokens: list[str], positions: Iterable[int], line: int, kind: str) -> None:
     for pos in positions:
         if tokens[pos] != "0":
             raise HouseParseError(
@@ -190,12 +183,7 @@ def parse_house(text: str) -> SceneModel:
             if header is not None:
                 raise HouseParseError("duplicate H header record", line_no)
             _require_zeros(tokens, range(5, 8), line_no, "H")
-            for pos in (3, 11):
-                if tokens[pos] != "0":
-                    raise HouseParseError(
-                        f"H record: expected literal '0' padding at token {pos}, found {tokens[pos]!r}",
-                        line_no,
-                    )
+            _require_zeros(tokens, (3, 11), line_no, "H")
             _require_zeros(tokens, range(13, 18), line_no, "H")
             scan_id = tokens[1]
             counts = tuple(
@@ -243,11 +231,7 @@ def parse_house(text: str) -> SceneModel:
             )
             categories.append((line_no, category))
         elif kind == "P":
-            if tokens[4] != "0":
-                raise HouseParseError(
-                    f"P record: expected literal '0' padding at token 4, found {tokens[4]!r}",
-                    line_no,
-                )
+            _require_zeros(tokens, (4,), line_no, "P")
             _require_zeros(tokens, range(8, 13), line_no, "P")
             panorama = Panorama(
                 name=tokens[1],
@@ -285,11 +269,9 @@ def parse_house(text: str) -> SceneModel:
                 f"{what} count mismatch: header declares {declared}, found {found}"
             )
 
+    sections = [[r for _, r in numbered] for numbered in (categories, regions, objects, panoramas)]
     _validate_records(
-        [c for _, c in categories],
-        [r for _, r in regions],
-        [o for _, o in objects],
-        [p for _, p in panoramas],
+        *sections,
         n_levels,
         lambda kind, pos, msg: HouseParseError(
             f"{kind} record: {msg}",
@@ -298,13 +280,13 @@ def parse_house(text: str) -> SceneModel:
         ),
     )
 
-    return SceneModel(
-        scan_id=scan_id,
-        categories=tuple(sorted((c for _, c in categories), key=lambda c: c.index)),
-        regions=tuple(sorted((r for _, r in regions), key=lambda r: r.index)),
-        objects=tuple(sorted((o for _, o in objects), key=lambda o: o.index)),
-        panoramas=tuple(sorted((p for _, p in panoramas), key=lambda p: p.index)),
-    )
+    return _index_sorted(SceneModel(scan_id, *sections))
+
+
+def _index_sorted(scene: SceneModel) -> SceneModel:
+    """The same scene with each record list a tuple sorted by index."""
+    sections = (scene.categories, scene.regions, scene.objects, scene.panoramas)
+    return SceneModel(scene.scan_id, *(tuple(sorted(s, key=lambda r: r.index)) for s in sections))
 
 
 def _norm(v: Vec3) -> float:
@@ -334,6 +316,10 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
         seen.add(cat.index)
         if not cat.name.strip():
             raise err("category", pos, "empty name")
+        # Crafted text splits clauses at ". " and reads a stop clause's
+        # relation from its start, so such names would not parse back.
+        if ". " in cat.name or cat.name.startswith(("left of the ", "right of the ")):
+            raise err("category", pos, f"name {cat.name!r} would not parse back from crafted text")
 
     seen = set()
     for pos, region in enumerate(regions):
@@ -411,158 +397,43 @@ def head_noun(name: str) -> str:
 
 
 def write_scene_json(scene: SceneModel) -> str:
-    """Serialize canonically: fixed key order, index-sorted lists, 6-decimal numbers."""
-    doc = {
-        "scan_id": scene.scan_id,
-        "categories": [
-            {
-                "index": c.index,
-                "mapping_index": c.mapping_index,
-                "name": c.name,
-                "mpcat40_index": c.mpcat40_index,
-                "mpcat40_name": c.mpcat40_name,
-            }
-            for c in sorted(scene.categories, key=lambda c: c.index)
-        ],
-        "regions": [
-            {
-                "index": r.index,
-                "level_index": r.level_index,
-                "label": r.label,
-                "position": list(r.position),
-                "bbox_lo": list(r.bbox_lo),
-                "bbox_hi": list(r.bbox_hi),
-            }
-            for r in sorted(scene.regions, key=lambda r: r.index)
-        ],
-        "objects": [
-            {
-                "index": o.index,
-                "region_index": o.region_index,
-                "category_index": o.category_index,
-                "center": list(o.center),
-                "axis0": list(o.axis0),
-                "axis1": list(o.axis1),
-                "radii": list(o.radii),
-            }
-            for o in sorted(scene.objects, key=lambda o: o.index)
-        ],
-        "panoramas": [
-            {
-                "name": p.name,
-                "index": p.index,
-                "region_index": p.region_index,
-                "position": list(p.position),
-            }
-            for p in sorted(scene.panoramas, key=lambda p: p.index)
-        ],
-    }
-    return json_dumps(doc)
+    """Serialize canonically: fields in declaration order, index-sorted lists,
+    6-decimal numbers."""
+    return jsonio.dumps(_index_sorted(scene))
 
 
-_ROOT_KEYS = ("scan_id", "categories", "regions", "objects", "panoramas")
-_RECORD_KEYS = {
-    "categories": ("index", "mapping_index", "name", "mpcat40_index", "mpcat40_name"),
-    "regions": ("index", "level_index", "label", "position", "bbox_lo", "bbox_hi"),
-    "objects": ("index", "region_index", "category_index", "center", "axis0", "axis1", "radii"),
-    "panoramas": ("name", "index", "region_index", "position"),
-}
-_INT_FIELDS = {"index", "mapping_index", "mpcat40_index", "level_index", "region_index", "category_index"}
-_STR_FIELDS = {"name", "mpcat40_name", "label"}
-
-
-def _json_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SceneJsonError(f"expected integer, found {value!r}", path)
-    return value
-
-
-def _json_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SceneJsonError(f"expected string, found {value!r}", path)
-    return value
-
-
-def _json_vec3(value, path: str) -> Vec3:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SceneJsonError("expected an array of 3 numbers", path)
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SceneJsonError(f"expected number, found {item!r}", f"{path}[{i}]")
-        if not math.isfinite(item):
-            raise SceneJsonError(f"non-finite number {item!r}", f"{path}[{i}]")
-        out.append(float(item))
-    return (out[0], out[1], out[2])
-
-
-def _json_record(entry, path: str, keys: tuple[str, ...]) -> dict:
-    if not isinstance(entry, dict):
-        raise SceneJsonError("expected an object", path)
-    for key in keys:
-        if key not in entry:
-            raise SceneJsonError(f"missing required key {key!r}", path)
-    for key in entry:
-        if key not in keys:
-            raise SceneJsonError(f"unexpected key {key!r}", path)
-    out = {}
-    for key in keys:
-        field_path = f"{path}.{key}"
-        if key in _INT_FIELDS:
-            out[key] = _json_int(entry[key], field_path)
-        elif key in _STR_FIELDS:
-            out[key] = _json_str(entry[key], field_path)
-        else:
-            out[key] = _json_vec3(entry[key], field_path)
-    return out
+_SCENE_SCHEMA = jsonio.record(
+    SceneModel,
+    scan_id=jsonio.string,
+    categories=jsonio.array(jsonio.record(
+        Category, index=jsonio.integer, mapping_index=jsonio.integer, name=jsonio.string,
+        mpcat40_index=jsonio.integer, mpcat40_name=jsonio.string)),
+    regions=jsonio.array(jsonio.record(
+        Region, index=jsonio.integer, level_index=jsonio.integer, label=jsonio.string,
+        position=jsonio.vec3, bbox_lo=jsonio.vec3, bbox_hi=jsonio.vec3)),
+    objects=jsonio.array(jsonio.record(
+        SceneObject, index=jsonio.integer, region_index=jsonio.integer,
+        category_index=jsonio.integer, center=jsonio.vec3, axis0=jsonio.vec3,
+        axis1=jsonio.vec3, radii=jsonio.vec3)),
+    panoramas=jsonio.array(jsonio.record(
+        Panorama, name=jsonio.string, index=jsonio.integer, region_index=jsonio.integer,
+        position=jsonio.vec3)),
+)
 
 
 def read_scene_json(text: str) -> SceneModel:
     """Parse and validate a canonical scene JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneJsonError(f"invalid JSON: {exc}", "$") from None
-    if not isinstance(doc, dict):
-        raise SceneJsonError("expected a top-level object", "$")
-    for key in _ROOT_KEYS:
-        if key not in doc:
-            raise SceneJsonError(f"missing required key {key!r}", "$")
-    for key in doc:
-        if key not in _ROOT_KEYS:
-            raise SceneJsonError(f"unexpected key {key!r}", "$")
-
-    scan_id = _json_str(doc["scan_id"], "$.scan_id")
-    parsed: dict[str, list] = {}
-    for section in ("categories", "regions", "objects", "panoramas"):
-        if not isinstance(doc[section], list):
-            raise SceneJsonError("expected an array", f"$.{section}")
-        parsed[section] = [
-            _json_record(entry, f"$.{section}[{i}]", _RECORD_KEYS[section])
-            for i, entry in enumerate(doc[section])
-        ]
-
+    scene = jsonio.load(text, _SCENE_SCHEMA)
     # Same canonical form as .house names, so the blacklist matches on both paths.
-    for i, c in enumerate(parsed["categories"]):
-        if c["name"] != " ".join(c["name"].lower().split()):
-            raise SceneJsonError(f"category name {c['name']!r} is not lowercase and "
+    for i, c in enumerate(scene.categories):
+        if c.name != " ".join(c.name.lower().split()):
+            raise SceneJsonError(f"category name {c.name!r} is not lowercase and "
                                  "single-spaced", f"$.categories[{i}].name")
-    categories = [Category(**c) for c in parsed["categories"]]
-    regions = [Region(**r) for r in parsed["regions"]]
-    objects = [SceneObject(**o) for o in parsed["objects"]]
-    panoramas = [Panorama(**p) for p in parsed["panoramas"]]
 
     section_of = {"category": "categories", "region": "regions",
                   "object": "objects", "panorama": "panoramas"}
     _validate_records(
-        categories, regions, objects, panoramas, None,
+        scene.categories, scene.regions, scene.objects, scene.panoramas, None,
         lambda kind, pos, msg: SceneJsonError(msg, f"$.{section_of[kind]}[{pos}]"),
     )
-
-    return SceneModel(
-        scan_id=scan_id,
-        categories=tuple(sorted(categories, key=lambda c: c.index)),
-        regions=tuple(sorted(regions, key=lambda r: r.index)),
-        objects=tuple(sorted(objects, key=lambda o: o.index)),
-        panoramas=tuple(sorted(panoramas, key=lambda p: p.index)),
-    )
+    return _index_sorted(scene)

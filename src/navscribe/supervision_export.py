@@ -7,10 +7,9 @@ given pipeline run is byte-reproducible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .jsonio import dumps as json_dumps
+from . import jsonio
 from .nav_graph import PathSpec
 from .object_saliency import Scan
 from .scene_metadata import head_noun
@@ -47,6 +46,10 @@ class WordObjectSupervision:
     tokens: tuple[str, ...]
     node_of_token: tuple[int, ...]
     objects_of_token: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.tokens) == len(self.node_of_token) == len(self.objects_of_token):
+            raise ValueError("token, node and object lists must align")
 
 
 def tokenize(text: str) -> list[str]:
@@ -121,54 +124,23 @@ def emit_r2r_json(records: list[DatasetRecord]) -> str:
         if record.path_id in seen:
             raise ValueError(f"duplicate path_id {record.path_id}")
         seen.add(record.path_id)
-    doc = [
-        {
-            "path_id": r.path_id,
-            "scan": r.scan,
-            "heading": r.heading,
-            "path": list(r.path),
-            "instructions": list(r.instructions),
-            "distance": r.distance,
-        }
-        for r in sorted(records, key=lambda r: r.path_id)
-    ]
-    return json_dumps(doc)
+    return jsonio.dumps(sorted(records, key=lambda r: r.path_id))
+
+
+_DATASET_SCHEMA = jsonio.array(jsonio.record(
+    DatasetRecord,
+    path_id=jsonio.integer,
+    scan=jsonio.string,
+    heading=jsonio.number,
+    path=jsonio.array(jsonio.string, 1),
+    instructions=jsonio.array(jsonio.string, 1),
+    distance=jsonio.number,
+))
 
 
 def read_r2r_json(text: str) -> list[DatasetRecord]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid dataset JSON: {exc}") from None
-    if not isinstance(doc, list):
-        raise ValueError("dataset JSON must be a top-level array")
-    records = []
-    expected = {"path_id", "scan", "heading", "path", "instructions", "distance"}
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or set(entry) != expected:
-            raise ValueError(f"records[{i}]: expected keys {sorted(expected)}")
-        if isinstance(entry["path_id"], bool) or not isinstance(entry["path_id"], int):
-            raise ValueError(f"records[{i}]: path_id must be an integer")
-        for field in ("heading", "distance"):
-            if isinstance(entry[field], bool) or not isinstance(entry[field], (int, float)):
-                raise ValueError(f"records[{i}]: {field} must be a number")
-        if not isinstance(entry["scan"], str):
-            raise ValueError(f"records[{i}]: scan must be a string")
-        for field in ("path", "instructions"):
-            seq = entry[field]
-            if not isinstance(seq, list) or any(not isinstance(v, str) for v in seq):
-                raise ValueError(f"records[{i}]: {field} must be an array of strings")
-        records.append(
-            DatasetRecord(
-                path_id=entry["path_id"],
-                scan=entry["scan"],
-                heading=float(entry["heading"]),
-                path=tuple(entry["path"]),
-                instructions=tuple(entry["instructions"]),
-                distance=float(entry["distance"]),
-            )
-        )
-    return records
+    """Read a dataset file; any error is a JsonSchemaError naming its place."""
+    return list(jsonio.load(text, _DATASET_SCHEMA))
 
 
 def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:
@@ -178,52 +150,18 @@ def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:
         if sup.path_id in seen:
             raise ValueError(f"duplicate path_id {sup.path_id}")
         seen.add(sup.path_id)
-    doc = [
-        {
-            "path_id": s.path_id,
-            "tokens": list(s.tokens),
-            "node_of_token": list(s.node_of_token),
-            "objects_of_token": [list(objs) for objs in s.objects_of_token],
-        }
-        for s in sorted(supervisions, key=lambda s: s.path_id)
-    ]
-    return json_dumps(doc)
+    return jsonio.dumps(sorted(supervisions, key=lambda s: s.path_id))
+
+
+_SUPERVISION_SCHEMA = jsonio.array(jsonio.record(
+    WordObjectSupervision,
+    path_id=jsonio.integer,
+    tokens=jsonio.array(jsonio.string),
+    node_of_token=jsonio.array(jsonio.integer),
+    objects_of_token=jsonio.array(jsonio.array(jsonio.string)),
+))
 
 
 def read_supervision_json(text: str) -> list[WordObjectSupervision]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid supervision JSON: {exc}") from None
-    if not isinstance(doc, list):
-        raise ValueError("supervision JSON must be a top-level array")
-    out = []
-    expected = {"path_id", "tokens", "node_of_token", "objects_of_token"}
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or set(entry) != expected:
-            raise ValueError(f"records[{i}]: expected keys {sorted(expected)}")
-        if isinstance(entry["path_id"], bool) or not isinstance(entry["path_id"], int):
-            raise ValueError(f"records[{i}]: path_id must be an integer")
-        tokens = entry["tokens"]
-        nodes = entry["node_of_token"]
-        objects = entry["objects_of_token"]
-        if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
-            raise ValueError(f"records[{i}]: tokens must be an array of strings")
-        if (not isinstance(nodes, list)
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in nodes)):
-            raise ValueError(f"records[{i}]: node_of_token must be an array of integers")
-        if (not isinstance(objects, list)
-                or any(not isinstance(row, list) for row in objects)
-                or any(not isinstance(v, str) for row in objects for v in row)):
-            raise ValueError(f"records[{i}]: objects_of_token must be arrays of strings")
-        if not len(tokens) == len(nodes) == len(objects):
-            raise ValueError(f"records[{i}]: token, node and object lists must align")
-        out.append(
-            WordObjectSupervision(
-                path_id=entry["path_id"],
-                tokens=tuple(tokens),
-                node_of_token=tuple(nodes),
-                objects_of_token=tuple(tuple(row) for row in objects),
-            )
-        )
-    return out
+    """Read a supervision file; any error is a JsonSchemaError naming its place."""
+    return list(jsonio.load(text, _SUPERVISION_SCHEMA))

@@ -162,6 +162,62 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: $.objects[0].center[0]: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,field,value,where", [
+        ("stats", "heading", math.inf, "$[0].heading"),
+        ("ablate", "heading", math.nan, "$[0].heading"),
+        ("stats", "path", [], "$[0].path"),
+        ("ablate", "instructions", [], "$[0].instructions"),
+    ])
+    def test_bad_dataset_value_is_located_error(self, tmp_path, capsys, command, field,
+                                                value, where):
+        record = {"path_id": 0, "scan": "loop0", "heading": 0.5, "path": ["a", "b"],
+                  "instructions": ["Walk straight. Stop there."], "distance": 2.0}
+        record[field] = value
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps([record]), "utf-8")
+        mode = ["--mode", "nouns"] if command == "ablate" else []
+        code = main([command, "--dataset", str(dataset), *mode,
+                     "--out", str(tmp_path / "out.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("distance", math.inf, "$.paths[0].distance"),
+        ("path", [], "$.paths[0].path"),
+    ])
+    def test_bad_paths_value_is_located_error(self, workdir, tmp_path, capsys, field,
+                                              value, where):
+        paths = tmp_path / "paths.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2",
+                     "--out", str(paths)]) == 0
+        doc = json.loads(paths.read_text("utf-8"))
+        doc["paths"][0][field] = value
+        paths.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        code = main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(tmp_path / "dataset.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--connectivity"])
+    def test_deeply_nested_json_is_an_error_not_a_traceback(self, workdir, tmp_path,
+                                                            capsys, flag):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, "utf-8")
+        out_file = str(tmp_path / "out.json")
+        if flag == "--dataset":
+            argv = ["stats", "--dataset", str(deep), "--out", out_file]
+        else:
+            argv = ["sample-paths", "--house", str(workdir / "loop0.house"),
+                    "--connectivity", str(deep), "--out", out_file]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bad_subcommand_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["ablate", "--dataset", "d.json", "--mode", "verbs",

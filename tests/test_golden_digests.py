@@ -2,8 +2,10 @@
 
 The three bundled fixtures are small (acceptance test 06). ``scan_dense``
 has 350 viewpoints and 4000 objects, so far more positions sit next to
-object-grid cell boundaries. One pass of it must reproduce every artifact
-digest and exit code in ``perfbench/golden.json``.
+object-grid cell boundaries. ``corpus_sparse`` is the only workload that
+sends ``.house`` files through ``parse-scene`` and reads the scene JSON back.
+One pass of each must reproduce every artifact digest and exit code in
+``perfbench/golden.json``.
 """
 from __future__ import annotations
 
@@ -12,13 +14,16 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_scan_dense_matches_golden_digests():
+@pytest.mark.parametrize("workload", ["scan_dense", "corpus_sparse"])
+def test_workload_matches_golden_digests(workload):
     # --seconds 0 stops after the first pass, which is the one checked.
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "scan_dense",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from conftest import SQUARE_EDGES, SQUARE_POSITIONS, build_graph
+from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import (ConnectivityError, PathSpec, geodesic_distance,
                                  neighbors, parse_connectivity, paths_from_json,
                                  paths_to_json, sample_paths, shortest_path)
@@ -99,6 +100,14 @@ class TestParseConnectivity:
     def test_non_list_document_rejected(self):
         with pytest.raises(ConnectivityError):
             parse_connectivity(json.dumps({"image_id": "a"}))
+
+    def test_deep_nesting_is_a_connectivity_error(self):
+        with pytest.raises(ConnectivityError, match="nested too deeply"):
+            parse_connectivity("[" * 200_000)
+
+    def test_integer_too_long_to_decode_is_a_connectivity_error(self):
+        with pytest.raises(ConnectivityError, match="invalid JSON"):
+            parse_connectivity("[" + "1" * 5000 + "]")
 
     def test_neighbors_sorted(self):
         graph = build_graph(SQUARE_POSITIONS, SQUARE_EDGES)
@@ -238,3 +247,25 @@ class TestPathsJson:
         doc = json.loads(paths_to_json(result))
         assert set(doc) == {"shortfall", "paths"}
         assert set(doc["paths"][0]) == {"scan", "path", "heading", "distance"}
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("heading", math.nan, "$.paths[1].heading"),
+        ("distance", math.inf, "$.paths[1].distance"),
+        ("distance", -math.inf, "$.paths[1].distance"),
+        ("path", [], "$.paths[1].path"),
+        ("path", ["a", 3], "$.paths[1].path[1]"),
+        ("heading", 7.0, "$.paths[1]"),
+    ])
+    def test_read_names_the_bad_value(self, square_graph, field, value, where):
+        result = sample_paths(square_graph, n=2, seed=7, min_hops=1, max_hops=4,
+                              min_geodesic=0.0)
+        doc = json.loads(paths_to_json(result))
+        doc["paths"][1][field] = value
+        with pytest.raises(JsonSchemaError) as err:
+            paths_from_json(json.dumps(doc))
+        assert err.value.json_path == where
+
+    def test_negative_shortfall_located(self):
+        with pytest.raises(JsonSchemaError) as err:
+            paths_from_json(json.dumps({"shortfall": -1, "paths": []}))
+        assert err.value.json_path == "$.shortfall"

@@ -112,6 +112,17 @@ def test_region_level_out_of_range():
         parse_house(text)
 
 
+# Crafted text splits clauses at ". " and reads a stop clause's relation
+# from its start, so these names would not parse back to the same atoms.
+@pytest.mark.parametrize("token", ["x._ytable", "left_of_the_z", "right_of_the_z"])
+def test_unparseable_category_name_rejected_at_c_line(token):
+    text = fixtures.TINY_HOUSE.replace("C 1 1 coffee_table", f"C 1 1 {token}")
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1) if token in ln)
+    with pytest.raises(HouseParseError, match="would not parse back") as err:
+        parse_house(text)
+    assert err.value.line_number == line
+
+
 class TestSceneJson:
     def test_round_trip_preserves_model(self, tiny_scene):
         again = read_scene_json(write_scene_json(tiny_scene))
@@ -164,6 +175,21 @@ class TestSceneJson:
         with pytest.raises(SceneJsonError) as err:
             read_scene_json(json.dumps(doc))
         assert err.value.json_path == "$.categories[1].name"
+
+    @pytest.mark.parametrize("name", ["x. ytable", "left of the z", "right of the z"])
+    def test_unparseable_category_name_rejected(self, tiny_scene, name):
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["categories"][1]["name"] = name
+        with pytest.raises(SceneJsonError, match="would not parse back") as err:
+            read_scene_json(json.dumps(doc))
+        assert err.value.json_path == "$.categories[1]"
+
+    def test_short_vector_located(self, tiny_scene):
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["panoramas"][2]["position"] = [1.0, 2.0]
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(json.dumps(doc))
+        assert err.value.json_path == "$.panoramas[2].position"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("section,field", [("objects", "center"), ("objects", "axis0"),

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, build_scene
+from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import PathSpec, shortest_path
 from navscribe.object_saliency import SaliencyConfig, Scan
 from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision,
@@ -139,8 +141,30 @@ class TestDatasetJson:
     def test_read_rejects_missing_keys(self):
         doc = json.loads(emit_r2r_json([_record()]))
         del doc[0]["scan"]
-        with pytest.raises(ValueError, match="records\\[0\\]"):
+        with pytest.raises(JsonSchemaError) as err:
             read_r2r_json(json.dumps(doc))
+        assert err.value.json_path == "$[0]"
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("heading", math.inf, "$[1].heading"),
+        ("distance", math.nan, "$[1].distance"),
+        ("path", [], "$[1].path"),
+        ("instructions", [], "$[1].instructions"),
+        ("instructions", ["ok", None], "$[1].instructions[1]"),
+        ("path_id", 1.0, "$[1].path_id"),
+        pytest.param("distance", 10 ** 400, "$[1].distance", id="distance-huge-integer"),
+    ])
+    def test_read_names_the_bad_value(self, field, value, where):
+        doc = json.loads(emit_r2r_json([_record(0), _record(1)]))
+        doc[1][field] = value
+        with pytest.raises(JsonSchemaError) as err:
+            read_r2r_json(json.dumps(doc))
+        assert err.value.json_path == where
+
+    def test_read_rejects_integer_too_long_to_decode(self):
+        with pytest.raises(JsonSchemaError) as err:
+            read_r2r_json("[" + "1" * 5000 + "]")
+        assert err.value.json_path == "$"
 
     def test_read_rejects_bool_path_id(self):
         doc = json.loads(emit_r2r_json([_record()]))
@@ -175,6 +199,13 @@ class TestSupervisionJson:
         doc[0]["node_of_token"] = [0]
         with pytest.raises(ValueError, match="align"):
             read_supervision_json(json.dumps(doc))
+
+    def test_read_names_the_bad_value(self):
+        doc = json.loads(emit_supervision_json([self._sup()]))
+        doc[0]["objects_of_token"][1] = ["lamp", False]
+        with pytest.raises(JsonSchemaError) as err:
+            read_supervision_json(json.dumps(doc))
+        assert err.value.json_path == "$[0].objects_of_token[1][1]"
 
     def test_duplicate_path_id_rejected(self):
         with pytest.raises(ValueError):
