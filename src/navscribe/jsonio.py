@@ -1,13 +1,16 @@
 """Canonical JSON emission and schema-checked JSON reading.
 
-Stdlib json cannot pin float formatting, so this tiny emitter renders floats
-with a fixed format (6 decimal places by default), keeps dict insertion
-order, indents like ``json.dumps(indent=2)``, uses LF line endings and ends
-the document with a single newline. A dataclass instance becomes an object
-of its fields in declaration order. ``load`` decodes with stdlib ``json`` and
-applies a schema composed of the checks below, each returning its converted
-value; a failed check raises ``JsonSchemaError`` naming a ``json_path`` such
-as ``$[3].heading``, built only as the failure unwinds.
+``dumps`` lays a value out as ``json.dumps(indent=2, ensure_ascii=False)``
+does, but renders floats in one fixed format (6 decimal places by default),
+which stdlib json cannot pin. It keeps dict insertion order, uses LF line
+endings and ends the document with a single newline. A dataclass instance
+becomes an object of its fields in declaration order. Each container is one
+``join`` of its items' texts, so an array of scalars costs no recursion, and
+strings go through the C string encoder stdlib json itself uses. ``load``
+decodes with stdlib ``json`` and applies a schema composed of the checks
+below, each returning its converted value; a failed check raises
+``JsonSchemaError`` naming a ``json_path`` such as ``$[3].heading``, built
+only as the failure unwinds.
 """
 from __future__ import annotations
 
@@ -19,64 +22,56 @@ from typing import Any, Callable
 
 Check = Callable[[Any], Any]
 
+_quote = json.encoder.encode_basestring  # where json.dumps(s, ensure_ascii=False) ends
+
 
 def dumps(value: Any, *, float_fmt: str = ".6f") -> str:
-    out: list[str] = []
-    _emit(value, 0, out, float_fmt)
-    out.append("\n")
-    return "".join(out)
+    return _render(value, "\n", float_fmt) + "\n"
 
 
-def _emit(value: Any, depth: int, out: list[str], float_fmt: str) -> None:
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number not serializable: {value}")
-        out.append(format(value, float_fmt))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        _emit_dict(value, depth, out, float_fmt)
-    elif isinstance(value, (list, tuple)):
-        _emit_list(value, depth, out, float_fmt)
-    elif dataclasses.is_dataclass(value):
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        _emit_dict(fields, depth, out, float_fmt)
-    else:
-        raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
+def _scalar(value: Any, float_fmt: str) -> str | None:
+    """The text of a finite number, a string, a boolean or None; None for
+    anything else, which ``_render`` renders or rejects."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):
+        return format(value, float_fmt) if math.isfinite(value) else None
+    if isinstance(value, bool):  # before int, which bool subclasses
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return "null" if value is None else None
 
 
-def _emit_dict(value: dict, depth: int, out: list[str], float_fmt: str) -> None:
-    if not value:
-        out.append("{}")
-        return
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    out.append("{\n")
-    for i, (key, item) in enumerate(value.items()):
-        if not isinstance(key, str):
-            raise TypeError(f"non-string key: {key!r}")
-        out.append(f"{inner}{json.dumps(key, ensure_ascii=False)}: ")
-        _emit(item, depth + 1, out, float_fmt)
-        out.append(",\n" if i < len(value) - 1 else "\n")
-    out.append(pad + "}")
-
-
-def _emit_list(value: list | tuple, depth: int, out: list[str], float_fmt: str) -> None:
-    if not value:
-        out.append("[]")
-        return
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    out.append("[\n")
-    for i, item in enumerate(value):
-        out.append(inner)
-        _emit(item, depth + 1, out, float_fmt)
-        out.append(",\n" if i < len(value) - 1 else "\n")
-    out.append(pad + "]")
+def _render(value: Any, nl: str, float_fmt: str) -> str:
+    """The text of ``value``; ``nl`` (a newline and an indent) starts the
+    line of its closing bracket. Items render in order, so the first bad one
+    raises. A scalar's text is never empty, so ``_scalar(v) or _render(v)``
+    calls ``_render`` only for containers and rejected values."""
+    text = _scalar(value, float_fmt)
+    if text is not None:
+        return text
+    if isinstance(value, float):
+        raise ValueError(f"non-finite number not serializable: {value}")
+    if not isinstance(value, (dict, list, tuple)) and dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key: {key!r}")
+            text = _scalar(item, float_fmt) or _render(item, inner, float_fmt)
+            items.append(f"{_quote(key)}: {text}")
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_scalar(item, float_fmt) or _render(item, inner, float_fmt) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
 
 
 class JsonSchemaError(ValueError):
@@ -127,20 +122,19 @@ def string(value: Any) -> str:
     return value
 
 
-_FLOAT_MAX = int(sys.float_info.max)  # float() of a larger integer overflows
+# A JSON number x is finite as a float exactly when -FLOAT_MAX <= x <= FLOAT_MAX;
+# NaN, the infinities and integers that float() overflows on all fail it.
+FLOAT_MAX = sys.float_info.max
 
 
 def number(value: Any) -> float:
     """A finite number, as a float."""
-    if type(value) is int:
-        if abs(value) > _FLOAT_MAX:
-            raise JsonSchemaError("expected a finite number, found an integer out of range", "")
-        value = float(value)
-    elif type(value) is not float:
+    if type(value) is not float and type(value) is not int:
         raise _expected("a number", value)
-    if not math.isfinite(value):
-        raise JsonSchemaError(f"expected a finite number, found {value}", "")
-    return value
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
+        found = value if type(value) is float else "an integer out of range"
+        raise JsonSchemaError(f"expected a finite number, found {found}", "")
+    return float(value)
 
 
 def array(item: Check, min_len: int = 0) -> Check:

@@ -73,6 +73,20 @@ class NavGraph:
         return key in self.edges
 
 
+def check_route(path: tuple[str, ...], heading: float, distance: float) -> None:
+    """The rules a path with a start heading keeps, as a PathSpec or as a
+    dataset record: named after the fields of the paths and dataset files."""
+    if not path:
+        raise ValueError("path must contain at least one viewpoint")
+    for prev, cur in zip(path, path[1:]):
+        if prev == cur:
+            raise ValueError(f"immediate repetition of viewpoint {cur!r}")
+    if not 0.0 <= heading < TWO_PI:
+        raise ValueError(f"heading must be in [0, 2*pi), got {heading}")
+    if distance < 0.0:
+        raise ValueError(f"distance must be non-negative, got {distance}")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A concrete path with its initial agent heading."""
@@ -83,15 +97,7 @@ class PathSpec:
     geodesic_length: float
 
     def __post_init__(self) -> None:
-        if len(self.path) < 1:
-            raise ValueError("path must contain at least one viewpoint")
-        for prev, cur in zip(self.path, self.path[1:]):
-            if prev == cur:
-                raise ValueError(f"immediate repetition of viewpoint {cur!r}")
-        if not 0.0 <= self.heading_0 < TWO_PI:
-            raise ValueError(f"heading_0 must be in [0, 2*pi), got {self.heading_0}")
-        if self.geodesic_length < 0.0:
-            raise ValueError("geodesic_length must be non-negative")
+        check_route(self.path, self.heading_0, self.geodesic_length)
 
     @property
     def hops(self) -> int:
@@ -147,7 +153,7 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
         for k, value in enumerate(pose):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not a number")
-            if not math.isfinite(value):
+            if not -jsonio.FLOAT_MAX <= value <= jsonio.FLOAT_MAX:
                 raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not finite")
         row = entry["unobstructed"]
         if not isinstance(row, list) or len(row) != n:
@@ -163,7 +169,7 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
         height = entry["height"]
         if isinstance(height, bool) or not isinstance(height, (int, float)):
             raise ConnectivityError(f"node {i} ({vid!r}): height is not a number")
-        if not math.isfinite(height):
+        if not -jsonio.FLOAT_MAX <= height <= jsonio.FLOAT_MAX:
             raise ConnectivityError(f"node {i} ({vid!r}): height is not finite")
         position = (float(pose[3]), float(pose[7]), float(pose[11]))
         viewpoints.append(Viewpoint(vid, position, float(height), bool(entry["included"])))
@@ -179,10 +185,11 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
             if not (unobstructed[i][j] or unobstructed[j][i]):
                 continue
             pa, pb = viewpoints[i].position, viewpoints[j].position
-            length = math.dist(pa, pb)
-            if length <= 0.0:
+            length = math.dist(pa, pb)  # finite points can still be infinitely far apart
+            if not 0.0 < length < math.inf:
                 raise ConnectivityError(
-                    f"zero-length edge between {viewpoints[i].id!r} and {viewpoints[j].id!r}"
+                    f"{'zero' if length <= 0.0 else 'infinite'}-length edge between "
+                    f"{viewpoints[i].id!r} and {viewpoints[j].id!r}"
                 )
             a, b = viewpoints[i].id, viewpoints[j].id
             key = (a, b) if a <= b else (b, a)

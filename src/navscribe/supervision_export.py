@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import jsonio
-from .nav_graph import PathSpec
+from .nav_graph import PathSpec, check_route
 from .object_saliency import Scan
 from .scene_metadata import head_noun
 
@@ -34,8 +34,7 @@ class DatasetRecord:
     def __post_init__(self) -> None:
         if not self.instructions:
             raise ValueError("a dataset record needs at least one instruction")
-        if not self.path:
-            raise ValueError("a dataset record needs a non-empty path")
+        check_route(self.path, self.heading, self.distance)
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,30 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["supervise", "validate", "stats", "ablate"])
+    @pytest.mark.parametrize("field,value", [
+        ("heading", 7.0),
+        ("distance", -1.0),
+        ("path", ["loop0_vp01", "loop0_vp01"]),
+    ])
+    def test_record_that_is_no_path_is_located_error(self, workdir, tmp_path, capsys,
+                                                     command, field, value):
+        # Each field passes its own check; the record breaks a PathSpec rule.
+        record = {"path_id": 0, "scan": "loop0", "heading": 0.5,
+                  "path": ["loop0_vp00", "loop0_vp01"],
+                  "instructions": ["Walk straight. Stop there."], "distance": 2.0}
+        record[field] = value
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps([record]), "utf-8")
+        extra = {"supervise": _loop_args(workdir), "validate": _loop_args(workdir),
+                 "stats": [], "ablate": ["--mode", "nouns"]}[command]
+        code = main([command, "--dataset", str(dataset), *extra,
+                     "--out", str(tmp_path / "out.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: $[0]: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("field,value,where", [
         ("distance", math.inf, "$.paths[0].distance"),
         ("path", [], "$.paths[0].path"),

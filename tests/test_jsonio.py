@@ -1,4 +1,5 @@
-"""Canonical JSON emission, and the schema-checked readers built on jsonio."""
+"""Canonical JSON emission, the schema-checked readers built on jsonio, and
+fuzzing of every JSON reader, the connectivity reader included."""
 from __future__ import annotations
 
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from navscribe import jsonio
 from navscribe.jsonio import JsonSchemaError
-from navscribe.nav_graph import paths_from_json
+from navscribe.nav_graph import ConnectivityError, NavGraph, parse_connectivity, paths_from_json
 from navscribe.scene_metadata import read_scene_json
 from navscribe.supervision_export import read_r2r_json, read_supervision_json
 
@@ -64,6 +65,64 @@ def test_string_escaping():
 def test_document_ends_with_single_newline():
     out = jsonio.dumps([1, 2])
     assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+# Quotes, backslashes, control characters and non-ASCII text, among any others.
+_ANY_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600 a')
+                    | st.characters(), max_size=6)
+_FLOAT_FREE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _ANY_TEXT,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_ANY_TEXT, children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FLOAT_FREE)
+def test_layout_matches_stdlib_for_any_float_free_value(value):
+    assert jsonio.dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_scalar_subclasses_render_as_their_base_type():
+    class Count(int):
+        pass
+
+    class Name(str):
+        def __str__(self):
+            return "not used"
+
+    class Metres(float):
+        pass
+
+    assert jsonio.dumps([Count(3), Name("x"), Metres(1.5), True, 1]) == (
+        '[\n  3,\n  "x",\n  1.500000,\n  true,\n  1\n]\n')
+    assert jsonio.dumps({"ok": False, "n": 0}) == '{\n  "ok": false,\n  "n": 0\n}\n'
+
+
+def test_non_finite_inside_an_array_of_scalars_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps([1, "a", 2.0, bad])
+
+
+def test_non_string_key_rejected():
+    with pytest.raises(TypeError, match="non-string key: 2"):
+        jsonio.dumps([{"a": 1, 2: 3}])
+
+
+def test_unsupported_type_in_a_list_rejected():
+    with pytest.raises(TypeError, match="unsupported type for canonical JSON: set"):
+        jsonio.dumps({"a": [1, [set()]]})
+
+
+def test_first_fault_in_document_order_raises():
+    with pytest.raises(TypeError):
+        jsonio.dumps([{1: 2}, math.nan])
+    with pytest.raises(ValueError):
+        jsonio.dumps([math.nan, {1: 2}])
+    with pytest.raises(TypeError):
+        jsonio.dumps({"a": {"b": set()}, "c": math.inf})
 
 
 def test_dataclass_is_an_object_in_field_order():
@@ -130,18 +189,20 @@ def _documents(shape, anything):
     return st.integers(0, 4).flatmap(lambda i: anything if i == 4 else typed)
 
 
-@pytest.mark.parametrize("reader,shape", SHAPES.values(), ids=SHAPES.keys())
-def test_readers_raise_only_located_schema_errors(reader, shape):
-    # Arbitrary JSON, in dicts whose keys mix in the format's own field names.
-    anything = st.recursive(
+def _anything(shape):
+    """Arbitrary JSON, in dicts whose keys mix in the format's own field names."""
+    return st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
         lambda children: (st.lists(children, max_size=3)
                           | st.dictionaries(st.sampled_from(sorted(_keys(shape)))
                                             | st.text(max_size=3), children, max_size=4)),
         max_leaves=10)
 
+
+@pytest.mark.parametrize("reader,shape", SHAPES.values(), ids=SHAPES.keys())
+def test_readers_raise_only_located_schema_errors(reader, shape):
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(_documents(shape, anything))
+    @given(_documents(shape, _anything(shape)))
     def check(doc):
         try:
             reader(json.dumps(doc))
@@ -149,3 +210,22 @@ def test_readers_raise_only_located_schema_errors(reader, shape):
             assert exc.json_path.startswith("$")
 
     check()
+
+
+# Coordinates include integers beyond the float range, which JSON allows, and
+# floats so far apart that their distance overflows.
+_COORD = (st.floats(-3, 3) | st.floats() | st.integers()
+          | st.sampled_from([10**400, -10**400, 1e308, -1e308]))
+CONNECTIVITY = [{"image_id": _TEXT, "pose": st.lists(_COORD, min_size=16, max_size=16),
+                 "included": st.booleans(), "unobstructed": st.lists(st.booleans(), max_size=3),
+                 "height": _COORD}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_documents(CONNECTIVITY, _anything(CONNECTIVITY)))
+def test_connectivity_reader_raises_only_connectivity_errors(doc):
+    try:
+        graph = parse_connectivity(json.dumps(doc))
+    except ConnectivityError:
+        return
+    assert isinstance(graph, NavGraph)

@@ -76,6 +76,14 @@ class TestParseConnectivity:
         with pytest.raises(ConnectivityError, match="zero-length"):
             parse_connectivity(text)
 
+    def test_infinite_edge_rejected(self):
+        text = json.dumps([
+            _entry("a", 1e308, 0.0, 0.0, True, [False, True]),
+            _entry("b", -1e308, 0.0, 0.0, True, [True, False]),
+        ])
+        with pytest.raises(ConnectivityError, match="infinite-length edge between 'a' and 'b'"):
+            parse_connectivity(text)
+
     def test_unobstructed_row_length_checked(self):
         text = json.dumps([
             _entry("a", 0.0, 0.0, 0.0, True, [False]),
@@ -84,7 +92,8 @@ class TestParseConnectivity:
         with pytest.raises(ConnectivityError):
             parse_connectivity(text)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "-inf", "1e400", "-1e400"])
     @pytest.mark.parametrize("field", ["pose[3]", "height"])
     def test_non_finite_number_rejected(self, field, value):
         entry = _entry("a", 0.0, 0.0, 0.0, True, [False, True])

@@ -177,6 +177,10 @@ class TestDatasetJson:
             DatasetRecord(0, "s", 0.0, (), ("x.",), 1.0)
         with pytest.raises(ValueError):
             DatasetRecord(0, "s", 0.0, ("a",), (), 1.0)
+        for heading, path, distance in ((7.0, ("a",), 1.0), (0.0, ("a",), -1.0),
+                                        (0.0, ("a", "a"), 1.0)):
+            with pytest.raises(ValueError):
+                DatasetRecord(0, "s", heading, path, ("x.",), distance)
 
 
 class TestSupervisionJson:
