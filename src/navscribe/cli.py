@@ -146,14 +146,8 @@ def _cmd_ablate(args) -> int:
     mode = AblationMode(args.mode)
     records = read_r2r_json(_read(args.dataset))
     ablated = [
-        DatasetRecord(
-            path_id=r.path_id,
-            scan=r.scan,
-            heading=r.heading,
-            path=r.path,
-            instructions=tuple(ablate(text, mode, lexicon) for text in r.instructions),
-            distance=r.distance,
-        )
+        dataclasses.replace(r, instructions=tuple(ablate(text, mode, lexicon)
+                                                  for text in r.instructions))
         for r in records
     ]
     _write(_out_path(args, cfg), emit_r2r_json(ablated))

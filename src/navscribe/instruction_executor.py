@@ -194,7 +194,7 @@ def execute(scan: Scan, start: str, heading_0: float,
 def evaluate(graph: NavGraph, gold: PathSpec, result: ExecutionResult,
              success_radius: float = DEFAULT_SUCCESS_RADIUS) -> NavMetrics:
     """Path length, navigation error, success, and path-weighted success."""
-    if success_radius < 0.0:
+    if not success_radius >= 0.0:  # NaN too: no path would succeed
         raise ValueError(f"success_radius must be non-negative, got {success_radius}")
     pl = 0.0
     for a, b in zip(result.path, result.path[1:]):

@@ -8,7 +8,9 @@ becomes an object of its fields in declaration order. Each container is one
 ``join`` of its items' texts, so an array of scalars costs no recursion, and
 strings go through the C string encoder stdlib json itself uses. ``load``
 decodes with stdlib ``json`` and applies a schema composed of the checks
-below, each returning its converted value; a failed check raises
+below (``integer``, ``number``, ``string``, ``boolean``, ``array``, ``vec3``,
+and ``record`` or ``open_record``, which ignores keys it does not declare),
+each returning its converted value; a failed check raises
 ``JsonSchemaError`` naming a ``json_path`` such as ``$[3].heading``, built
 only as the failure unwinds.
 """
@@ -122,16 +124,22 @@ def string(value: Any) -> str:
     return value
 
 
-# A JSON number x is finite as a float exactly when -FLOAT_MAX <= x <= FLOAT_MAX;
+def boolean(value: Any) -> bool:
+    if type(value) is not bool:
+        raise _expected("a boolean", value)
+    return value
+
+
+# A JSON number x is finite as a float exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX;
 # NaN, the infinities and integers that float() overflows on all fail it.
-FLOAT_MAX = sys.float_info.max
+_FLOAT_MAX = sys.float_info.max
 
 
 def number(value: Any) -> float:
     """A finite number, as a float."""
     if type(value) is not float and type(value) is not int:
         raise _expected("a number", value)
-    if not -FLOAT_MAX <= value <= FLOAT_MAX:
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         found = value if type(value) is float else "an integer out of range"
         raise JsonSchemaError(f"expected a finite number, found {found}", "")
     return float(value)
@@ -170,15 +178,24 @@ def record(build: Callable[..., Any], **fields: Check) -> Check:
     """An object with exactly the keys of ``fields``, returned as ``build``
     called with each checked field. A ValueError from ``build``, which holds
     the rules across fields, fails the check at the object itself."""
+    return _record(build, fields, closed=True)
 
+
+def open_record(build: Callable[..., Any], **fields: Check) -> Check:
+    """As ``record``, but keys beyond those of ``fields`` are ignored."""
+    return _record(build, fields, closed=False)
+
+
+def _record(build: Callable[..., Any], fields: dict[str, Check], closed: bool) -> Check:
     def check(value: Any) -> Any:
         if type(value) is not dict:
             raise _expected("an object", value)
         if value.keys() != fields.keys():
             missing = [key for key in fields if key not in value]
-            problem = "missing" if missing else "unexpected"
-            key = (missing or [key for key in value if key not in fields])[0]
-            raise JsonSchemaError(f"{problem} key {key!r}", "")
+            if missing or closed:
+                problem = "missing" if missing else "unexpected"
+                key = (missing or [key for key in value if key not in fields])[0]
+                raise JsonSchemaError(f"{problem} key {key!r}", "")
         checked = {}
         for name, field in fields.items():
             try:

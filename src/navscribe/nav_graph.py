@@ -1,16 +1,18 @@
 """Navigation graphs: connectivity parsing, shortest paths, path sampling.
 
 A graph is built from the simulator connectivity format: a JSON array with
-one entry per viewpoint carrying a 4x4 row-major pose (translation at flat
-indices 3, 7 and 11), an ``included`` flag and an ``unobstructed`` boolean
-row over all viewpoints. An edge exists when both endpoints are included and
-either direction is unobstructed. Excluded viewpoints keep their identity
-but lose all edges.
+one entry per viewpoint carrying an ``image_id``, a 4x4 row-major ``pose``
+(translation at flat indices 3, 7 and 11), a ``height``, an ``included``
+flag and an ``unobstructed`` boolean row over all viewpoints; other keys,
+such as ``visible``, are ignored. An edge exists when both endpoints are
+included and either direction is unobstructed. Excluded viewpoints keep
+their identity but lose all edges. Every connectivity error is a
+``JsonSchemaError`` (``ConnectivityError`` here) located by its
+``json_path``, such as ``$[0].pose[3]``.
 """
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,9 +22,7 @@ from .view_geometry import TWO_PI, Vec3, heading_to
 
 HEADING_CHOICES = 12  # discrete initial headings, k * pi/6
 
-
-class ConnectivityError(ValueError):
-    """Malformed connectivity JSON."""
+ConnectivityError = jsonio.JsonSchemaError  # the connectivity reader's name for it
 
 
 @dataclass(frozen=True)
@@ -117,63 +117,40 @@ class SampleResult:
 # ---------------------------------------------------------------------------
 
 
-def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
-    """Build a NavGraph from connectivity JSON text."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ConnectivityError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ConnectivityError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, list):
-        raise ConnectivityError("expected a top-level array of viewpoints")
+def _viewpoint_entry(image_id: str, pose: tuple[float, ...], included: bool,
+                     unobstructed: tuple[bool, ...], height: float
+                     ) -> tuple[Viewpoint, tuple[bool, ...]]:
+    """One connectivity entry: its viewpoint and its unobstructed row."""
+    if len(pose) != 16:
+        raise ValueError(f"pose must have 16 entries, found {len(pose)}")
+    return Viewpoint(image_id, (pose[3], pose[7], pose[11]), height, included), unobstructed
 
-    n = len(doc)
-    viewpoints: list[Viewpoint] = []
-    unobstructed: list[list[bool]] = []
+
+_CONNECTIVITY_SCHEMA = jsonio.array(jsonio.open_record(
+    _viewpoint_entry,
+    image_id=jsonio.string,
+    pose=jsonio.array(jsonio.number),
+    included=jsonio.boolean,
+    unobstructed=jsonio.array(jsonio.boolean),
+    height=jsonio.number,
+))
+
+
+def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
+    """Build a NavGraph from connectivity JSON text; any error is a
+    JsonSchemaError naming its place."""
+    entries = jsonio.load(text, _CONNECTIVITY_SCHEMA)
+    n = len(entries)
+    viewpoints = [viewpoint for viewpoint, _ in entries]
+    unobstructed = [row for _, row in entries]
     ids: set[str] = set()
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ConnectivityError(f"node {i}: expected an object")
-        for key in ("image_id", "pose", "included", "unobstructed", "height"):
-            if key not in entry:
-                raise ConnectivityError(f"node {i}: missing key {key!r}")
-        vid = entry["image_id"]
-        if not isinstance(vid, str):
-            raise ConnectivityError(f"node {i}: image_id must be a string")
-        if vid in ids:
-            raise ConnectivityError(f"node {i}: duplicate image_id {vid!r}")
-        ids.add(vid)
-        pose = entry["pose"]
-        if not isinstance(pose, list) or len(pose) != 16:
-            raise ConnectivityError(
-                f"node {i} ({vid!r}): pose must have 16 entries, found "
-                f"{len(pose) if isinstance(pose, list) else type(pose).__name__}"
-            )
-        for k, value in enumerate(pose):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not a number")
-            if not -jsonio.FLOAT_MAX <= value <= jsonio.FLOAT_MAX:
-                raise ConnectivityError(f"node {i} ({vid!r}): pose[{k}] is not finite")
-        row = entry["unobstructed"]
-        if not isinstance(row, list) or len(row) != n:
-            raise ConnectivityError(
-                f"node {i} ({vid!r}): unobstructed must have {n} entries, found "
-                f"{len(row) if isinstance(row, list) else type(row).__name__}"
-            )
-        for k, value in enumerate(row):
-            if not isinstance(value, bool):
-                raise ConnectivityError(f"node {i} ({vid!r}): unobstructed[{k}] is not a boolean")
-        if not isinstance(entry["included"], bool):
-            raise ConnectivityError(f"node {i} ({vid!r}): included must be a boolean")
-        height = entry["height"]
-        if isinstance(height, bool) or not isinstance(height, (int, float)):
-            raise ConnectivityError(f"node {i} ({vid!r}): height is not a number")
-        if not -jsonio.FLOAT_MAX <= height <= jsonio.FLOAT_MAX:
-            raise ConnectivityError(f"node {i} ({vid!r}): height is not finite")
-        position = (float(pose[3]), float(pose[7]), float(pose[11]))
-        viewpoints.append(Viewpoint(vid, position, float(height), bool(entry["included"])))
-        unobstructed.append([bool(v) for v in row])
+    for i, (viewpoint, row) in enumerate(entries):
+        if viewpoint.id in ids:
+            raise ConnectivityError(f"duplicate image_id {viewpoint.id!r}", f"$[{i}].image_id")
+        ids.add(viewpoint.id)
+        if len(row) != n:
+            raise ConnectivityError(f"expected {n} entries, found {len(row)}",
+                                    f"$[{i}].unobstructed")
 
     edges: dict[tuple[str, str], float] = {}
     for i in range(n):
@@ -189,7 +166,7 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
             if not 0.0 < length < math.inf:
                 raise ConnectivityError(
                     f"{'zero' if length <= 0.0 else 'infinite'}-length edge between "
-                    f"{viewpoints[i].id!r} and {viewpoints[j].id!r}"
+                    f"{viewpoints[i].id!r} and {viewpoints[j].id!r}", f"$[{i}]"
                 )
             a, b = viewpoints[i].id, viewpoints[j].id
             key = (a, b) if a <= b else (b, a)
@@ -290,6 +267,8 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
         raise ValueError(f"n must be non-negative, got {n}")
     if min_hops > max_hops:
         raise ValueError(f"min_hops {min_hops} exceeds max_hops {max_hops}")
+    if not 0.0 <= min_geodesic < math.inf:
+        raise ValueError(f"min_geodesic must be finite and non-negative, got {min_geodesic}")
     ids = sorted(v.id for v in graph.viewpoints if v.included)
 
     eligible: dict[tuple[str, str], tuple[tuple[str, ...], float]] = {}

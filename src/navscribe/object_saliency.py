@@ -119,8 +119,8 @@ class Scan:
     The table is keyed by position, not viewpoint id, because a viewpoint has
     two: edge clauses, the executor and supervision observe from the
     connectivity pose, stop clauses from the scene's panorama record. Merging
-    them changes output bytes (ROADMAP.md, open item 3). Only filtered
-    candidates are stored, to keep the table small.
+    them changes output bytes (the ROADMAP.md open item "one position per
+    viewpoint"). Only filtered candidates are stored, to keep the table small.
 
     A table entry equals ``tuple(filter_candidates(observe(...), cfg))`` but
     is computed from a uniform grid over the object centers, built on the

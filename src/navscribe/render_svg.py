@@ -24,7 +24,7 @@ class RenderSpec:
     height: int = 800
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN too: every coordinate would be nan
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")

@@ -116,14 +116,19 @@ def build_supervision(scan: Scan, path: PathSpec, instruction: str, n: int,
 # ---------------------------------------------------------------------------
 
 
-def emit_r2r_json(records: list[DatasetRecord]) -> str:
-    """Serialize dataset records sorted by path_id; ids must be unique."""
+def _dumps_by_path_id(records: list) -> str:
+    """Records sorted by path_id, as canonical JSON; ids must be unique."""
     seen: set[int] = set()
     for record in records:
         if record.path_id in seen:
             raise ValueError(f"duplicate path_id {record.path_id}")
         seen.add(record.path_id)
     return jsonio.dumps(sorted(records, key=lambda r: r.path_id))
+
+
+def emit_r2r_json(records: list[DatasetRecord]) -> str:
+    """Serialize dataset records sorted by path_id; ids must be unique."""
+    return _dumps_by_path_id(records)
 
 
 _DATASET_SCHEMA = jsonio.array(jsonio.record(
@@ -144,12 +149,7 @@ def read_r2r_json(text: str) -> list[DatasetRecord]:
 
 def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:
     """Serialize supervision records sorted by path_id; ids must be unique."""
-    seen: set[int] = set()
-    for sup in supervisions:
-        if sup.path_id in seen:
-            raise ValueError(f"duplicate path_id {sup.path_id}")
-        seen.add(sup.path_id)
-    return jsonio.dumps(sorted(supervisions, key=lambda s: s.path_id))
+    return _dumps_by_path_id(supervisions)
 
 
 _SUPERVISION_SCHEMA = jsonio.array(jsonio.record(

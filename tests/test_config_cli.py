@@ -143,7 +143,7 @@ class TestCli:
                      str(tmp_path / "paths.json")])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == "error: node 0 ('loop0_vp00'): pose[3] is not finite\n"
+        assert err == "error: $[0].pose[3]: expected a finite number, found nan\n"
 
     def test_non_finite_scene_json_is_located_error(self, workdir, tmp_path, capsys):
         scene, paths = tmp_path / "scene.json", tmp_path / "paths.json"
@@ -161,6 +161,30 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: $.objects[0].center[0]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("render", "--radius", "nan"),
+        ("validate", "--success-radius", "nan"),
+        ("sample-paths", "--min-geodesic", "nan"),
+        ("sample-paths", "--min-geodesic", "inf"),
+        ("sample-paths", "--min-geodesic", "-1"),
+    ])
+    def test_out_of_range_number_flag_is_error(self, workdir, tmp_path, capsys, command,
+                                               flag, value):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        extra = {"render": ["--viewpoint", "loop0_vp00"], "sample-paths": [],
+                 "validate": ["--dataset", str(dataset)]}[command]
+        out_file = tmp_path / "out"
+        code = main([command, *_loop_args(workdir), *extra, flag, value,
+                     "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("command,field,value,where", [
         ("stats", "heading", math.inf, "$[0].heading"),

@@ -226,6 +226,26 @@ CONNECTIVITY = [{"image_id": _TEXT, "pose": st.lists(_COORD, min_size=16, max_si
 def test_connectivity_reader_raises_only_connectivity_errors(doc):
     try:
         graph = parse_connectivity(json.dumps(doc))
-    except ConnectivityError:
+    except ConnectivityError as exc:
+        assert exc.json_path.startswith("$")
         return
     assert isinstance(graph, NavGraph)
+
+
+def test_boolean_rejects_integers():
+    assert jsonio.load("[true, false]", jsonio.array(jsonio.boolean)) == (True, False)
+    with pytest.raises(JsonSchemaError) as err:
+        jsonio.load("[true, 1]", jsonio.array(jsonio.boolean))
+    assert str(err.value) == "$[1]: expected a boolean, found integer"
+
+
+def test_open_record_ignores_extra_keys_but_not_missing_ones():
+    fields = {"a": jsonio.integer, "b": jsonio.string}
+    schema = jsonio.open_record(lambda a, b: (a, b), **fields)
+    assert jsonio.load('{"z": [], "b": "x", "a": 1}', schema) == (1, "x")
+    with pytest.raises(JsonSchemaError) as err:
+        jsonio.load('{"a": 1, "z": 2}', schema)
+    assert str(err.value) == "$: missing key 'b'"
+    with pytest.raises(JsonSchemaError) as err:
+        jsonio.load('{"a": 1, "b": "x", "z": 2}', jsonio.record(lambda a, b: (a, b), **fields))
+    assert str(err.value) == "$: unexpected key 'z'"

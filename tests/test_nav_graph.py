@@ -60,37 +60,73 @@ class TestParseConnectivity:
         assert not graph.has_edge("b", "c")
         assert neighbors(graph, "c") == []
 
+    def test_extra_keys_ignored_and_integers_read_as_floats(self):
+        a = _entry("a", 0, 0, 0, True, [False, True])
+        b = _entry("b", 3, 4, 0, True, [True, False])
+        a["visible"], b["visible"] = [False, True], [True, False]
+        b["height"] = 2
+        graph = parse_connectivity(json.dumps([a, b]))
+        assert graph.edge_length("a", "b") == 5.0
+        assert graph.viewpoint("b").height == 2.0
+        assert all(type(c) is float for v in graph.viewpoints
+                   for c in (*v.position, v.height))
+
     def test_duplicate_id_rejected(self):
         text = json.dumps([
             _entry("a", 0.0, 0.0, 0.0, True, [False, False]),
             _entry("a", 1.0, 0.0, 0.0, True, [False, False]),
         ])
-        with pytest.raises(ConnectivityError, match="duplicate"):
+        with pytest.raises(ConnectivityError) as err:
             parse_connectivity(text)
+        assert str(err.value) == "$[1].image_id: duplicate image_id 'a'"
 
     def test_zero_length_edge_rejected(self):
         text = json.dumps([
-            _entry("a", 1.0, 1.0, 1.0, True, [False, True]),
-            _entry("b", 1.0, 1.0, 1.0, True, [True, False]),
+            _entry("c", 0.0, 0.0, 0.0, True, [False, False, False]),
+            _entry("a", 1.0, 1.0, 1.0, True, [False, False, True]),
+            _entry("b", 1.0, 1.0, 1.0, True, [False, True, False]),
         ])
-        with pytest.raises(ConnectivityError, match="zero-length"):
+        with pytest.raises(ConnectivityError) as err:
             parse_connectivity(text)
+        assert str(err.value) == "$[1]: zero-length edge between 'a' and 'b'"
 
     def test_infinite_edge_rejected(self):
         text = json.dumps([
             _entry("a", 1e308, 0.0, 0.0, True, [False, True]),
             _entry("b", -1e308, 0.0, 0.0, True, [True, False]),
         ])
-        with pytest.raises(ConnectivityError, match="infinite-length edge between 'a' and 'b'"):
+        with pytest.raises(ConnectivityError) as err:
             parse_connectivity(text)
+        assert str(err.value) == "$[0]: infinite-length edge between 'a' and 'b'"
 
     def test_unobstructed_row_length_checked(self):
         text = json.dumps([
-            _entry("a", 0.0, 0.0, 0.0, True, [False]),
-            _entry("b", 1.0, 0.0, 0.0, True, [False, False]),
+            _entry("a", 0.0, 0.0, 0.0, True, [False, False]),
+            _entry("b", 1.0, 0.0, 0.0, True, [False]),
         ])
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError) as err:
             parse_connectivity(text)
+        assert str(err.value) == "$[1].unobstructed: expected 2 entries, found 1"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("included", 1, "$[0].included: expected a boolean, found integer"),
+        ("unobstructed", [False, 1], "$[0].unobstructed[1]: expected a boolean, found integer"),
+        ("pose", [0.0] * 15, "$[0]: pose must have 16 entries, found 15"),
+        ("pose", [0.0] * 17, "$[0]: pose must have 16 entries, found 17"),
+        ("pose", "identity", "$[0].pose: expected an array, found string"),
+        ("image_id", 7, "$[0].image_id: expected a string, found integer"),
+        ("height", None, "$[0]: missing key 'height'"),
+    ])
+    def test_bad_entry_is_located(self, field, value, message):
+        entry = _entry("a", 0.0, 0.0, 0.0, True, [False, True])
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        text = json.dumps([entry, _entry("b", 1.0, 0.0, 0.0, True, [True, False])])
+        with pytest.raises(ConnectivityError) as err:
+            parse_connectivity(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
                              ids=["nan", "inf", "-inf", "1e400", "-1e400"])
@@ -104,11 +140,15 @@ class TestParseConnectivity:
         text = json.dumps([entry, _entry("b", 1.0, 0.0, 0.0, True, [True, False])])
         with pytest.raises(ConnectivityError) as err:
             parse_connectivity(text)
-        assert str(err.value) == f"node 0 ('a'): {field} is not finite"
+        assert err.value.json_path == f"$[0].{field}"
 
     def test_non_list_document_rejected(self):
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError) as err:
             parse_connectivity(json.dumps({"image_id": "a"}))
+        assert str(err.value) == "$: expected an array, found object"
+
+    def test_connectivity_error_is_the_schema_error(self):
+        assert ConnectivityError is JsonSchemaError
 
     def test_deep_nesting_is_a_connectivity_error(self):
         with pytest.raises(ConnectivityError, match="nested too deeply"):
