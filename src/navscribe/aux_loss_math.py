@@ -8,10 +8,10 @@ numbers are pinned independently of any training framework.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
-
-import numpy as np
 
 from .rng import SplitMix64
 
@@ -71,21 +71,37 @@ class LossBreakdown:
     beta: float
 
 
-def log_softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Numerically stable log-probabilities (max subtraction)."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
+def _logit_vector(logits: Sequence[float]) -> list[float]:
+    """The logits as plain floats; anything but a non-empty 1-D sequence of
+    finite reals (a 2-D array, a string, a scalar) is a ValueError."""
+    try:
+        values = list(logits)
+    except TypeError:
+        values = []
+    if not values or not all(isinstance(v, Real) for v in values):
         raise ValueError("logits must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(x)):
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("logits must be finite")
-    shifted = x - np.max(x)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    return [float(v) for v in values]
 
 
-def nll(log_probs: np.ndarray, target: int) -> float:
+def log_softmax(logits: Sequence[float]) -> list[float]:
+    """Numerically stable log-probabilities (max subtraction)."""
+    values = _logit_vector(logits)
+    top = max(values)
+    shifted = [v - top for v in values]
+    log_total = math.log(math.fsum(math.exp(v) for v in shifted))
+    return [v - log_total for v in shifted]
+
+
+def nll(log_probs: Sequence[float], target: int) -> float:
     """Negative log-likelihood of one target index."""
-    if not 0 <= target < log_probs.shape[0]:
-        raise ValueError(f"target {target} out of range ({log_probs.shape[0]} classes)")
+    if not 0 <= target < len(log_probs):
+        raise ValueError(f"target {target} out of range ({len(log_probs)} classes)")
     return float(-log_probs[target])
 
 
@@ -100,7 +116,7 @@ def _check_weights(lam: float, beta: float, targets: WordTargets) -> None:
         raise ValueError("a crafted target is required when beta > 0")
 
 
-def word_loss(logits: np.ndarray | Sequence[float], targets: WordTargets,
+def word_loss(logits: Sequence[float], targets: WordTargets,
               lam: float = 0.0, beta: float = 0.0) -> LossBreakdown:
     """base + lambda * sum(objects) + beta * crafted, all plain NLL sums."""
     _check_weights(lam, beta, targets)
@@ -126,45 +142,38 @@ def sequence_loss(logits_seq: Sequence, targets_seq: Sequence[WordTargets],
     return sum(totals) / len(totals)
 
 
-def grad_logits(logits: np.ndarray | Sequence[float], targets: WordTargets,
-                lam: float = 0.0, beta: float = 0.0) -> np.ndarray:
+def grad_logits(logits: Sequence[float], targets: WordTargets,
+                lam: float = 0.0, beta: float = 0.0) -> list[float]:
     """Analytic gradient of word_loss(...).total with respect to the logits.
 
     Equals (3 + lambda*|objects| + beta*[crafted]) * softmax(logits) minus
     the weighted one-hot sum over all targets.
     """
     _check_weights(lam, beta, targets)
-    probs = np.exp(log_softmax(logits))
     weight_total = 3.0 + lam * len(targets.objects) + (beta if targets.crafted is not None else 0.0)
-    grad = weight_total * probs
-    for t in targets.originals:
-        if not 0 <= t < grad.shape[0]:
-            raise ValueError(f"target {t} out of range ({grad.shape[0]} classes)")
-        grad[t] -= 1.0
-    for t in targets.objects:
-        if not 0 <= t < grad.shape[0]:
-            raise ValueError(f"target {t} out of range ({grad.shape[0]} classes)")
-        grad[t] -= lam
+    grad = [weight_total * math.exp(v) for v in log_softmax(logits)]
+    weighted = [(t, 1.0) for t in targets.originals] + [(t, lam) for t in targets.objects]
     if targets.crafted is not None:
-        if not 0 <= targets.crafted < grad.shape[0]:
-            raise ValueError(f"target {targets.crafted} out of range ({grad.shape[0]} classes)")
-        grad[targets.crafted] -= beta
+        weighted.append((targets.crafted, beta))
+    for t, weight in weighted:
+        if not 0 <= t < len(grad):
+            raise ValueError(f"target {t} out of range ({len(grad)} classes)")
+        grad[t] -= weight
     return grad
 
 
-def finite_difference_grad(logits, targets: WordTargets, lam: float = 0.0,
-                           beta: float = 0.0, step: float = _FD_STEP) -> np.ndarray:
+def finite_difference_grad(logits: Sequence[float], targets: WordTargets, lam: float = 0.0,
+                           beta: float = 0.0, step: float = _FD_STEP) -> list[float]:
     """Central-difference gradient of word_loss(...).total."""
-    x = np.asarray(logits, dtype=np.float64).copy()
-    grad = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        orig = x[i]
+    x = _logit_vector(logits)
+    grad = []
+    for i, orig in enumerate(x):
         x[i] = orig + step
         hi = word_loss(x, targets, lam=lam, beta=beta).total
         x[i] = orig - step
         lo = word_loss(x, targets, lam=lam, beta=beta).total
         x[i] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
+        grad.append((hi - lo) / (2.0 * step))
     return grad
 
 
@@ -178,12 +187,14 @@ def gradient_check(instances: int = 100, seed: int = 7, max_vocab: int = 16,
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    if max_vocab < 2:
+        raise ValueError(f"max_vocab must be at least 2, got {max_vocab}")
     rng = SplitMix64(seed)
     worst = 0.0
     total = 0.0
     for _ in range(instances):
         vocab = 2 + rng.below(max_vocab - 1)  # V in [2, max_vocab]
-        logits = np.array([rng.unit() * 8.0 - 4.0 for _ in range(vocab)])
+        logits = [rng.unit() * 8.0 - 4.0 for _ in range(vocab)]
         targets = WordTargets(
             originals=(rng.below(vocab), rng.below(vocab), rng.below(vocab)),
             objects=tuple(rng.below(vocab) for _ in range(n_objects)),
@@ -191,8 +202,8 @@ def gradient_check(instances: int = 100, seed: int = 7, max_vocab: int = 16,
         )
         analytic = grad_logits(logits, targets, lam=lam, beta=beta)
         numeric = finite_difference_grad(logits, targets, lam=lam, beta=beta)
-        scale = max(float(np.max(np.abs(analytic))), 1e-12)
-        rel = float(np.max(np.abs(analytic - numeric))) / scale
+        scale = max(max(map(abs, analytic)), 1e-12)
+        rel = max(abs(a - n) for a, n in zip(analytic, numeric)) / scale
         worst = max(worst, rel)
         total += rel
     return {

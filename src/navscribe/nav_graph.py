@@ -265,6 +265,8 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if min_hops < 0:
+        raise ValueError(f"min_hops must be non-negative, got {min_hops}")
     if min_hops > max_hops:
         raise ValueError(f"min_hops {min_hops} exceeds max_hops {max_hops}")
     if not 0.0 <= min_geodesic < math.inf:

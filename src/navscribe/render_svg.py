@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .nav_graph import NavGraph
 from .scene_metadata import SceneModel, category_name
@@ -24,10 +23,16 @@ class RenderSpec:
     height: int = 800
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:  # NaN too: every coordinate would be nan
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        # NaN would make every coordinate nan, infinity the scale 0.
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
+
+
+def _escape(text: str) -> str:
+    """XML character data: ``&`` first, then ``>`` and ``<``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:
@@ -71,7 +76,7 @@ def render_viewpoint(scene: SceneModel, graph: NavGraph, spec: RenderSpec) -> st
             )
             corners.append(to_canvas(corner))
         points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
-        label = escape(category_name(scene, obj.index))
+        label = _escape(category_name(scene, obj.index))
         lx, ly = to_canvas(obj.center)
         parts.append(
             f'  <polygon class="object-box" points="{points}" '
@@ -101,7 +106,7 @@ def render_viewpoint(scene: SceneModel, graph: NavGraph, spec: RenderSpec) -> st
     )
     parts.append(
         f'  <text class="viewpoint-label" x="{_fmt(cx)}" y="{_fmt(cy - 10.0)}" font-size="12" '
-        f'text-anchor="middle" fill="#cc3333">{escape(spec.viewpoint)}</text>'
+        f'text-anchor="middle" fill="#cc3333">{_escape(spec.viewpoint)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navscribe.aux_loss_math import (GRAD_CHECK_TOLERANCE, LossBreakdown, Vocab,
@@ -43,6 +43,28 @@ class TestLogSoftmax:
             log_softmax([1.0, math.inf])
         with pytest.raises(ValueError):
             log_softmax(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("logits", [
+        np.zeros((2, 1)), np.zeros((1, 3)), np.array(1.0), 2.0, "abc", [1.0, "2"],
+        [[1.0], [2.0]], [1.0, None], [np.zeros(1), np.zeros(1)],
+    ], ids=["column", "row", "0-d", "scalar", "string", "string-entry", "nested",
+            "none-entry", "array-entries"])
+    def test_rejects_everything_but_a_flat_vector(self, logits):
+        with pytest.raises(ValueError, match="1-D vector"):
+            log_softmax(logits)
+
+    @pytest.mark.parametrize("logits", [[0.0, math.nan], [-math.inf, 0.0], [1, 10**400]])
+    def test_rejects_non_finite_entries(self, logits):
+        with pytest.raises(ValueError, match="finite"):
+            log_softmax(logits)
+
+    def test_results_are_plain_float_lists(self):
+        targets = WordTargets((0, 1, 1), objects=(2,), crafted=0)
+        logits = np.array([0.5, -1.0, 2.0], dtype=np.float32)
+        for out in (log_softmax(logits), grad_logits(logits, targets, lam=0.5, beta=0.3),
+                    finite_difference_grad(logits, targets, lam=0.5, beta=0.3)):
+            assert type(out) is list and len(out) == 3
+            assert all(type(v) is float for v in out)
 
 
 class TestFrozenValues:
@@ -171,10 +193,47 @@ class TestGradient:
         assert report["max_rel_error"] <= GRAD_CHECK_TOLERANCE
         assert report["tolerance"] == GRAD_CHECK_TOLERANCE
 
+    @pytest.mark.parametrize("max_vocab", [1, 0, -3])
+    def test_check_rejects_vocab_below_two(self, max_vocab):
+        with pytest.raises(ValueError, match=f"max_vocab must be at least 2, got {max_vocab}"):
+            gradient_check(instances=3, max_vocab=max_vocab)
+
+    def test_check_accepts_two_word_vocab(self):
+        assert gradient_check(instances=5, max_vocab=2)["passed"] is True
+
     def test_check_is_reproducible(self):
         a = gradient_check(instances=10, seed=3)
         b = gradient_check(instances=10, seed=3)
         assert a == b
+
+
+def _numpy_reference(values, targets, lam, beta):
+    """log_softmax and grad_logits written directly in numpy."""
+    x = np.asarray(values, dtype=np.float64)
+    shifted = x - np.max(x)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted)))
+    grad = (3.0 + lam * len(targets.objects) + beta) * np.exp(log_probs)
+    np.subtract.at(grad, list(targets.originals), 1.0)
+    np.subtract.at(grad, list(targets.objects), lam)
+    grad[targets.crafted] -= beta
+    return log_probs, grad
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=16), st.data(),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_pure_python_matches_numpy_reference(values, data, lam, beta):
+    index = st.integers(0, len(values) - 1)
+    targets = WordTargets(
+        originals=tuple(data.draw(st.lists(index, min_size=3, max_size=3))),
+        objects=tuple(data.draw(st.lists(index, min_size=1, max_size=4))),
+        crafted=data.draw(index),
+    )
+    ref_log_probs, ref_grad = _numpy_reference(values, targets, lam, beta)
+    for logits in (values, np.asarray(values)):
+        assert np.allclose(log_softmax(logits), ref_log_probs, rtol=0.0, atol=1e-12)
+        assert np.allclose(grad_logits(logits, targets, lam=lam, beta=beta), ref_grad,
+                           rtol=0.0, atol=1e-12)
 
 
 class TestVocab:

@@ -164,6 +164,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command,flag,value", [
         ("render", "--radius", "nan"),
+        ("render", "--radius", "inf"),
         ("validate", "--success-radius", "nan"),
         ("sample-paths", "--min-geodesic", "nan"),
         ("sample-paths", "--min-geodesic", "inf"),
@@ -184,6 +185,24 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
+
+    def test_negative_hop_bounds_are_error(self, workdir, tmp_path, capsys):
+        out_file = tmp_path / "paths.json"
+        code = main(["sample-paths", *_loop_args(workdir), "--min-hops", "-3",
+                     "--max-hops", "-1", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: min_hops must be non-negative, got -3\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("max_vocab", ["0", "1"])
+    def test_loss_check_vocab_below_two_is_error(self, tmp_path, capsys, max_vocab):
+        out_file = tmp_path / "loss.json"
+        code = main(["loss-check", "--max-vocab", max_vocab, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: max_vocab must be at least 2, got {max_vocab}\n"
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command,field,value,where", [

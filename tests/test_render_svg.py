@@ -1,6 +1,8 @@
 """SVG rendering: element inventory, radius gating, byte determinism."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from navscribe.render_svg import RenderSpec, render_viewpoint
@@ -76,6 +78,13 @@ class TestRender:
         assert "cabinet &amp; &lt;shelf&gt;" in svg
         assert "<shelf>" not in svg
 
+    def test_viewpoint_label_escaping(self):
+        graph = build_graph({"a&<b>": (0.0, 0.0, 0.0)}, [])
+        scene = build_scene(objects=[], panoramas=[("a&<b>", 0, (0.0, 0.0, 0.0))])
+        svg = render_viewpoint(scene, graph, RenderSpec("a&<b>"))
+        assert 'fill="#cc3333">a&amp;&lt;b&gt;</text>' in svg
+        assert "<b>" not in svg
+
     def test_unknown_viewpoint(self, bundle):
         scene, graph = bundle
         with pytest.raises(ValueError, match="unknown viewpoint"):
@@ -90,6 +99,11 @@ class TestRenderSpec:
     def test_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
             RenderSpec("v", radius=0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            RenderSpec("v", radius=radius)
 
     def test_bad_canvas(self):
         with pytest.raises(ValueError, match="1x1"):
