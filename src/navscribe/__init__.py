@@ -12,8 +12,6 @@ from .aux_loss_math import (LossBreakdown, Vocab, WordTargets, gradient_check,
                             word_loss)
 from .config import (AuxConfig, ConfigError, FileConfig, RunConfig,
                      SamplerConfig, load_config)
-from .fixtures import (FixtureScene, all_scenes, malformed_house_cases,
-                       write_scene_files)
 from .instruction_crafter import (AtomicInstruction, CraftedInstruction, Motion,
                                   ObjectRef, Turn, classify_turn,
                                   classify_vertical, craft_instruction,
@@ -52,26 +50,24 @@ __all__ = [
     "AblationMode", "AtomicInstruction", "AuxConfig", "Category", "ConfigError",
     "ConnectivityError", "CraftedInstruction", "DatasetRecord",
     "DEFAULT_BLACKLIST", "DEFAULT_SUCCESS_RADIUS", "ExecutionResult",
-    "FileConfig", "FixtureScene", "FovConfig", "HouseParseError",
+    "FileConfig", "FovConfig", "HouseParseError",
     "InstructionParseError", "JsonSchemaError",
     "LexiconError", "LossBreakdown", "Motion", "NavGraph", "NavMetrics",
     "ObjectRef", "ObservedObject", "Panorama", "PathSpec", "Region", "Relation",
     "RenderSpec", "RunConfig", "SaliencyConfig", "SampleResult", "SamplerConfig",
     "Scan", "SceneJsonError", "SceneModel", "SceneObject", "SplitMix64", "Turn",
     "Viewpoint", "Vocab", "WordObjectSupervision", "WordTargets",
-    "ablate", "align_words_to_nodes", "all_scenes", "best_object",
-    "build_supervision",
+    "ablate", "align_words_to_nodes", "best_object", "build_supervision",
     "category_name", "classify_turn", "classify_vertical", "craft_instruction",
     "elevation_to", "emit_r2r_json", "emit_supervision_json", "evaluate",
     "evaluate_batch", "execute", "filter_candidates", "geodesic_distance",
     "gradient_check", "grad_logits", "head_noun", "heading_is_degenerate",
     "heading_to", "in_fov", "load_config", "load_default_lexicon",
-    "load_lexicon", "log_softmax", "make_atom", "malformed_house_cases",
-    "neighbors", "nll", "observe",
+    "load_lexicon", "log_softmax", "make_atom", "neighbors", "nll", "observe",
     "parse_connectivity", "parse_crafted", "parse_house", "paths_from_json",
     "paths_to_json", "projected_area", "read_r2r_json", "read_scene_json",
     "read_supervision_json", "relative_bearing", "render_atom",
     "render_viewpoint", "sample_paths", "sequence_loss", "shortest_path",
     "side_of_travel", "tokenize", "top_n_objects", "word_loss",
-    "wrap_angle", "write_scene_files", "write_scene_json",
+    "wrap_angle", "write_scene_json",
 ]

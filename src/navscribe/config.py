@@ -39,6 +39,10 @@ class AuxConfig:
     beta: float = 0.3
     n_objects: int = 2
 
+    def __post_init__(self) -> None:
+        if self.n_objects < 1:
+            raise ValueError(f"n_objects must be at least 1, got {self.n_objects}")
+
 
 @dataclass(frozen=True)
 class FileConfig:
@@ -155,7 +159,10 @@ def _validate_value(key: str, value, line_no: int) -> None:
         raise ConfigError(f"{key}: must be non-negative, got {value}", line_no)
     if key in ("max_distance",) and value <= 0:
         raise ConfigError(f"{key}: must be positive, got {value}", line_no)
-    if key == "n_objects" and value < 1:
-        raise ConfigError(f"{key}: must be at least 1, got {value}", line_no)
+    if key == "n_objects":
+        try:
+            AuxConfig(n_objects=value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line_no) from None
     if key in ("n_paths", "min_hops", "max_hops") and value < 0:
         raise ConfigError(f"{key}: must be non-negative, got {value}", line_no)

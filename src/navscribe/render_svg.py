@@ -23,11 +23,18 @@ class RenderSpec:
     height: int = 800
 
     def __post_init__(self) -> None:
-        # NaN would make every coordinate nan, infinity the scale 0.
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
+        # NaN would make every coordinate nan, infinity the scale 0, and a
+        # subnormal radius the scale infinite, which maps the centre to nan.
+        if not (self.radius > 0.0 and 0.0 < self.scale < math.inf):
+            raise ValueError("radius must be finite and positive and give a finite scale, "
+                             f"got {self.radius}")
+
+    @property
+    def scale(self) -> float:
+        """Canvas pixels per world meter."""
+        return min(self.width, self.height) / (2.0 * self.radius)
 
 
 def _escape(text: str) -> str:
@@ -42,7 +49,7 @@ def _fmt(value: float) -> str:
 def render_viewpoint(scene: SceneModel, graph: NavGraph, spec: RenderSpec) -> str:
     """Render objects within the radius and arrows to every neighbor."""
     center = graph.position(spec.viewpoint)
-    scale = min(spec.width, spec.height) / (2.0 * spec.radius)
+    scale = spec.scale
 
     def to_canvas(p: Vec3) -> tuple[float, float]:
         return (

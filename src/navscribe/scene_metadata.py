@@ -1,14 +1,10 @@
 """Parse indoor-scene metadata files and serialize scenes canonically.
 
-The accepted text format is line oriented; every line is one record and the
-first line must be the header. Records (tokens separated by whitespace):
-
-    H <name> <label> 0 <#panoramas> 0 0 0 <#objects> <#categories> <#regions> 0 <#levels> 0 0 0 0 0
-    L <level_index> <#regions> <label> <px> <py> <pz> <xlo> <ylo> <zlo> <xhi> <yhi> <zhi> 0 0 0 0 0
-    R <region_index> <level_index> 0 0 <label_char> <px> <py> <pz> <xlo> <ylo> <zlo> <xhi> <yhi> <zhi> 0 0 0 0 0
-    C <category_index> <mapping_index> <name> <mpcat40_index> <mpcat40_name> 0 0 0 0 0
-    P <name> <panorama_index> <region_index> 0 <px> <py> <pz> 0 0 0 0 0
-    O <object_index> <region_index> <category_index> <px> <py> <pz> <a0x> <a0y> <a0z> <a1x> <a1y> <a1z> <r0> <r1> <r2> 0 0 0 0 0 0 0 0
+The accepted text format is line oriented; every line is one record of
+whitespace-separated tokens, and the first line must be the H header. The
+record kinds are H (header with declared counts), L (level), R (region),
+C (category), P (panorama) and O (object); ``_LAYOUTS`` states each kind's
+tokens in order.
 
 Padding tokens must be the literal ``0``. Multiword names are stored with
 underscores and come back with single spaces. Record counts must match the
@@ -18,7 +14,6 @@ repaired. Parsing ignores record order: lists come back sorted by index.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import jsonio
@@ -104,180 +99,166 @@ class SceneModel:
 # House text parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_COUNTS = {"H": 18, "L": 18, "R": 20, "C": 11, "P": 13, "O": 24}
+
+def _header(scan_id: str, label: str, **counts: int) -> tuple[str, dict[str, int]]:
+    """The scan name and the record counts the H line declares, in token order."""
+    if min(counts.values()) < 0:
+        raise ValueError("negative count")
+    return scan_id, counts
 
 
-def _int_token(tok: str, line: int, kind: str, what: str) -> int:
+# The record kind letter each declared count is checked against.
+_KIND_OF = {"panorama": "P", "object": "O", "category": "C", "region": "R", "level": "L"}
+
+
+# Converters: (tokens, start, name used in errors) -> value. A ValueError
+# message is reported after the "<kind> record: " prefix.
+
+def _raw(tokens: list[str], at: int, what: str) -> str:
+    return tokens[at]
+
+
+def _integer(tokens: list[str], at: int, what: str) -> int:
     try:
-        return int(tok)
+        return int(tokens[at])
     except ValueError:
-        raise HouseParseError(f"{kind} record: invalid integer {tok!r} for {what}", line) from None
+        raise ValueError(f"invalid integer {tokens[at]!r} for {what}") from None
 
 
-def _float_token(tok: str, line: int, kind: str, what: str) -> float:
+def _finite(tok: str, what: str) -> float:
     try:
         value = float(tok)
     except ValueError:
-        raise HouseParseError(f"{kind} record: invalid number {tok!r} for {what}", line) from None
+        raise ValueError(f"invalid number {tok!r} for {what}") from None
     if not math.isfinite(value):
-        raise HouseParseError(f"{kind} record: non-finite number for {what}", line)
+        raise ValueError(f"non-finite number for {what}")
     return value
 
 
-def _vec3(tokens: list[str], start: int, line: int, kind: str, what: str) -> Vec3:
-    return (
-        _float_token(tokens[start], line, kind, what),
-        _float_token(tokens[start + 1], line, kind, what),
-        _float_token(tokens[start + 2], line, kind, what),
-    )
+def _xyz(tokens: list[str], at: int, what: str) -> Vec3:
+    return _finite(tokens[at], what), _finite(tokens[at + 1], what), _finite(tokens[at + 2], what)
 
 
-def _require_zeros(tokens: list[str], positions: Iterable[int], line: int, kind: str) -> None:
-    for pos in positions:
-        if tokens[pos] != "0":
-            raise HouseParseError(
-                f"{kind} record: expected literal '0' padding at token {pos}, found {tokens[pos]!r}",
-                line,
-            )
+def _char(tokens: list[str], at: int, what: str) -> str:
+    if len(tokens[at]) != 1:
+        raise ValueError(f"{what} must be a single character, found {tokens[at]!r}")
+    return tokens[at]
 
 
-def _clean_name(token: str, line: int, kind: str, *, lower: bool) -> str:
-    parts = [p for p in token.split("_") if p]
-    if not parts:
-        raise HouseParseError(f"{kind} record: empty name {token!r}", line)
-    name = " ".join(parts)
-    return name.lower() if lower else name
+def _name(tokens: list[str], at: int, what: str) -> str:
+    """Underscore-joined words back as single-spaced text."""
+    name = " ".join(p for p in tokens[at].split("_") if p)
+    if not name:
+        raise ValueError(f"empty {what} {tokens[at]!r}")
+    return name
+
+
+def _lower_name(tokens: list[str], at: int, what: str) -> str:
+    return _name(tokens, at, what).lower()
+
+
+def _compile(build, *layout):
+    """(builder, token count, padding positions, fields with start positions)."""
+    padding, fields, at = [], [], 1
+    for entry in layout:
+        if entry == 0:
+            padding.append(at)
+            at += 1
+        else:
+            fields.append((*entry, at))
+            at += 3 if entry[2] is _xyz else 1
+    return build, at, tuple(padding), tuple(fields)
+
+
+# Each record kind's builder, then its tokens after the kind letter in
+# order: a literal 0 is one padding token that must read "0", a field is
+# (builder parameter, name used in errors, converter). L records are
+# checked and counted; the scene model keeps no levels.
+_LAYOUTS = {
+    "H": _compile(
+        _header, ("scan_id", "name", _raw), ("label", "label", _raw), 0,
+        ("panorama", "panorama count", _integer), 0, 0, 0,
+        ("object", "object count", _integer), ("category", "category count", _integer),
+        ("region", "region count", _integer), 0, ("level", "level count", _integer),
+        0, 0, 0, 0, 0),
+    "L": _compile(
+        dict, ("index", "level index", _integer), ("regions", "region count", _integer),
+        ("label", "label", _raw), ("position", "position", _xyz),
+        ("bbox_lo", "bbox low", _xyz), ("bbox_hi", "bbox high", _xyz), 0, 0, 0, 0, 0),
+    "R": _compile(
+        Region, ("index", "region index", _integer), ("level_index", "level index", _integer),
+        0, 0, ("label", "label", _char), ("position", "position", _xyz),
+        ("bbox_lo", "bbox low", _xyz), ("bbox_hi", "bbox high", _xyz), 0, 0, 0, 0, 0),
+    "C": _compile(
+        Category, ("index", "category index", _integer),
+        ("mapping_index", "mapping index", _integer), ("name", "name", _lower_name),
+        ("mpcat40_index", "mpcat40 index", _integer), ("mpcat40_name", "name", _name),
+        0, 0, 0, 0, 0),
+    "P": _compile(
+        Panorama, ("name", "name", _raw), ("index", "panorama index", _integer),
+        ("region_index", "region index", _integer), 0, ("position", "position", _xyz),
+        0, 0, 0, 0, 0),
+    "O": _compile(
+        SceneObject, ("index", "object index", _integer),
+        ("region_index", "region index", _integer),
+        ("category_index", "category index", _integer), ("center", "center", _xyz),
+        ("axis0", "axis0", _xyz), ("axis1", "axis1", _xyz), ("radii", "radii", _xyz),
+        0, 0, 0, 0, 0, 0, 0, 0),
+}
 
 
 def parse_house(text: str) -> SceneModel:
     """Parse scene metadata text into a validated SceneModel.
 
     Raises HouseParseError naming the 1-based line number for malformed
-    lines, count mismatches against the header, dangling cross indices and
-    geometric invariant violations.
+    lines, dangling cross indices and geometric invariant violations; a
+    count that disagrees with the header names the H line.
     """
-    header: tuple[int, ...] | None = None
-    scan_id = ""
-    n_levels_seen = 0
-    categories: list[tuple[int, Category]] = []
-    regions: list[tuple[int, Region]] = []
-    objects: list[tuple[int, SceneObject]] = []
-    panoramas: list[tuple[int, Panorama]] = []
-
+    numbered: dict[str, list] = {kind: [] for kind in _LAYOUTS}  # kind -> [(line, record)]
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         tokens = raw.split()
+        if not tokens:
+            continue
         kind = tokens[0]
-        if header is None and kind != "H":
+        if not numbered["H"] and kind != "H":
             raise HouseParseError("expected the H header record first", line_no)
-        if kind not in _TOKEN_COUNTS:
+        if kind not in _LAYOUTS:
             raise HouseParseError(f"unknown record type {kind!r}", line_no)
-        expected = _TOKEN_COUNTS[kind]
-        if len(tokens) != expected:
+        build, n_tokens, padding, fields = _LAYOUTS[kind]
+        if len(tokens) != n_tokens:
             raise HouseParseError(
-                f"{kind} record: expected {expected} tokens, found {len(tokens)}", line_no
+                f"{kind} record: expected {n_tokens} tokens, found {len(tokens)}", line_no
             )
+        if kind == "H" and numbered["H"]:
+            raise HouseParseError("duplicate H header record", line_no)
+        try:  # padding first, then the fields in token order
+            for at in padding:
+                if tokens[at] != "0":
+                    raise ValueError(
+                        f"expected literal '0' padding at token {at}, found {tokens[at]!r}")
+            record = build(**{param: convert(tokens, at, what)
+                              for param, what, convert, at in fields})
+        except ValueError as exc:
+            raise HouseParseError(f"{kind} record: {exc}", line_no) from None
+        numbered[kind].append((line_no, record))
 
-        if kind == "H":
-            if header is not None:
-                raise HouseParseError("duplicate H header record", line_no)
-            _require_zeros(tokens, range(5, 8), line_no, "H")
-            _require_zeros(tokens, (3, 11), line_no, "H")
-            _require_zeros(tokens, range(13, 18), line_no, "H")
-            scan_id = tokens[1]
-            counts = tuple(
-                _int_token(tokens[pos], line_no, "H", what)
-                for pos, what in ((4, "panorama count"), (8, "object count"),
-                                  (9, "category count"), (10, "region count"),
-                                  (12, "level count"))
-            )
-            if any(c < 0 for c in counts):
-                raise HouseParseError("H record: negative count", line_no)
-            header = counts
-        elif kind == "L":
-            _int_token(tokens[1], line_no, "L", "level index")
-            _int_token(tokens[2], line_no, "L", "region count")
-            _vec3(tokens, 4, line_no, "L", "position")
-            _vec3(tokens, 7, line_no, "L", "bbox low")
-            _vec3(tokens, 10, line_no, "L", "bbox high")
-            _require_zeros(tokens, range(13, 18), line_no, "L")
-            n_levels_seen += 1
-        elif kind == "R":
-            _require_zeros(tokens, range(3, 5), line_no, "R")
-            _require_zeros(tokens, range(15, 20), line_no, "R")
-            label = tokens[5]
-            if len(label) != 1:
-                raise HouseParseError(
-                    f"R record: label must be a single character, found {label!r}", line_no
-                )
-            region = Region(
-                index=_int_token(tokens[1], line_no, "R", "region index"),
-                level_index=_int_token(tokens[2], line_no, "R", "level index"),
-                label=label,
-                position=_vec3(tokens, 6, line_no, "R", "position"),
-                bbox_lo=_vec3(tokens, 9, line_no, "R", "bbox low"),
-                bbox_hi=_vec3(tokens, 12, line_no, "R", "bbox high"),
-            )
-            regions.append((line_no, region))
-        elif kind == "C":
-            _require_zeros(tokens, range(6, 11), line_no, "C")
-            category = Category(
-                index=_int_token(tokens[1], line_no, "C", "category index"),
-                mapping_index=_int_token(tokens[2], line_no, "C", "mapping index"),
-                name=_clean_name(tokens[3], line_no, "C", lower=True),
-                mpcat40_index=_int_token(tokens[4], line_no, "C", "mpcat40 index"),
-                mpcat40_name=_clean_name(tokens[5], line_no, "C", lower=False),
-            )
-            categories.append((line_no, category))
-        elif kind == "P":
-            _require_zeros(tokens, (4,), line_no, "P")
-            _require_zeros(tokens, range(8, 13), line_no, "P")
-            panorama = Panorama(
-                name=tokens[1],
-                index=_int_token(tokens[2], line_no, "P", "panorama index"),
-                region_index=_int_token(tokens[3], line_no, "P", "region index"),
-                position=_vec3(tokens, 5, line_no, "P", "position"),
-            )
-            panoramas.append((line_no, panorama))
-        else:  # O
-            _require_zeros(tokens, range(16, 24), line_no, "O")
-            obj = SceneObject(
-                index=_int_token(tokens[1], line_no, "O", "object index"),
-                region_index=_int_token(tokens[2], line_no, "O", "region index"),
-                category_index=_int_token(tokens[3], line_no, "O", "category index"),
-                center=_vec3(tokens, 4, line_no, "O", "center"),
-                axis0=_vec3(tokens, 7, line_no, "O", "axis0"),
-                axis1=_vec3(tokens, 10, line_no, "O", "axis1"),
-                radii=_vec3(tokens, 13, line_no, "O", "radii"),
-            )
-            objects.append((line_no, obj))
-
-    if header is None:
+    if not numbered["H"]:
         raise HouseParseError("empty document: missing H header record", 1)
 
-    n_panoramas, n_objects, n_categories, n_regions, n_levels = header
-    for what, declared, found in (
-        ("panorama", n_panoramas, len(panoramas)),
-        ("object", n_objects, len(objects)),
-        ("category", n_categories, len(categories)),
-        ("region", n_regions, len(regions)),
-        ("level", n_levels, n_levels_seen),
-    ):
+    [(header_line, (scan_id, counts))] = numbered["H"]
+    for what, declared in counts.items():
+        found = len(numbered[_KIND_OF[what]])
         if declared != found:
             raise HouseParseError(
-                f"{what} count mismatch: header declares {declared}, found {found}"
+                f"{what} count mismatch: header declares {declared}, found {found}", header_line
             )
 
-    sections = [[r for _, r in numbered] for numbered in (categories, regions, objects, panoramas)]
+    sections = [[r for _, r in numbered[kind]] for kind in "CROP"]
     _validate_records(
         *sections,
-        n_levels,
-        lambda kind, pos, msg: HouseParseError(
-            f"{kind} record: {msg}",
-            {"category": categories, "region": regions, "object": objects,
-             "panorama": panoramas}[kind][pos][0],
-        ),
+        counts["level"],
+        lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}",
+                                               numbered[_KIND_OF[kind]][pos][0]),
     )
 
     return _index_sorted(SceneModel(scan_id, *sections))

@@ -82,6 +82,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="non-negative"):
             load_config("lambda = -0.5\n")
 
+    def test_n_objects_below_one_names_its_line(self):
+        with pytest.raises(ConfigError) as err:
+            load_config("seed = 1\nn_objects = 0\n")
+        assert str(err.value) == "line 2: n_objects must be at least 1, got 0"
+
     def test_missing_input_file(self):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config("scene = /no/such/file.house\n")
@@ -165,6 +170,7 @@ class TestCli:
     @pytest.mark.parametrize("command,flag,value", [
         ("render", "--radius", "nan"),
         ("render", "--radius", "inf"),
+        ("render", "--radius", "1e-320"),
         ("validate", "--success-radius", "nan"),
         ("sample-paths", "--min-geodesic", "nan"),
         ("sample-paths", "--min-geodesic", "inf"),
@@ -194,6 +200,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err == "error: min_hops must be non-negative, got -3\n"
+        assert not out_file.exists()
+
+    def test_n_objects_flag_below_one_is_error(self, workdir, tmp_path, capsys):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "supervision.json"
+        code = main(["supervise", *_loop_args(workdir), "--dataset", str(dataset),
+                     "--n-objects", "-1", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: n_objects must be at least 1, got -1\n"
         assert not out_file.exists()
 
     @pytest.mark.parametrize("max_vocab", ["0", "1"])

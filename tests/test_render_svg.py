@@ -105,6 +105,11 @@ class TestRenderSpec:
         with pytest.raises(ValueError, match="radius must be finite and positive"):
             RenderSpec("v", radius=radius)
 
+    def test_radius_with_infinite_scale_rejected(self):
+        # 800 / (2 * 1e-320) overflows, which would put the centre at nan.
+        with pytest.raises(ValueError, match="give a finite scale, got 1e-320"):
+            RenderSpec("v", radius=1e-320)
+
     def test_bad_canvas(self):
         with pytest.raises(ValueError, match="1x1"):
             RenderSpec("v", width=0)

@@ -5,11 +5,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navscribe import fixtures
-from navscribe.scene_metadata import (HouseParseError, SceneJsonError, category_name,
-                                      head_noun, parse_house, read_scene_json,
-                                      write_scene_json)
+from navscribe.scene_metadata import (HouseParseError, SceneJsonError, SceneModel,
+                                      category_name, head_noun, parse_house,
+                                      read_scene_json, write_scene_json)
 
 
 class TestTinyHouse:
@@ -214,3 +216,111 @@ def test_bundled_fixture_scenes_parse():
         scene = parse_house(fix.house_text)
         assert scene.scan_id == fix.name
         assert scene.objects and scene.panoramas
+
+
+def _edit_tiny(line: int, edit) -> str:
+    return fixtures._mutate_line(fixtures.TINY_HOUSE, line, edit)
+
+
+def _token_set(position: int, value: str):
+    return lambda line: fixtures._set_token(line, position, value)
+
+
+# One single-fault line per (record kind, converter) pair, plus bad padding
+# and a wrong token count for every kind; the raw-token fields (H and P
+# names, H and L labels) accept any token and have no fault to pin.
+# TINY_HOUSE lines: H 1, L 2, R 3-4, C 5-6, P 7-10, O 11-13.
+_SINGLE_FAULTS = [
+    ("H-integer", 1, _token_set(4, "x"), "H record: invalid integer 'x' for panorama count"),
+    ("H-integer-level", 1, _token_set(12, "1.5"), "H record: invalid integer '1.5' for level count"),
+    ("H-negative-count", 1, _token_set(8, "-1"), "H record: negative count"),
+    ("H-padding", 1, _token_set(3, "1"), "H record: expected literal '0' padding at token 3, found '1'"),
+    ("H-token-count", 1, lambda s: s + " 0", "H record: expected 18 tokens, found 19"),
+    ("L-integer", 2, _token_set(2, "two"), "L record: invalid integer 'two' for region count"),
+    ("L-number", 2, _token_set(7, "q"), "L record: invalid number 'q' for bbox low"),
+    ("L-non-finite", 2, _token_set(12, "inf"), "L record: non-finite number for bbox high"),
+    ("L-padding", 2, _token_set(13, "00"), "L record: expected literal '0' padding at token 13, found '00'"),
+    ("L-token-count", 2, lambda s: s.rsplit(" ", 1)[0], "L record: expected 18 tokens, found 17"),
+    ("R-integer", 3, _token_set(2, "-"), "R record: invalid integer '-' for level index"),
+    ("R-char", 3, _token_set(5, "bb"), "R record: label must be a single character, found 'bb'"),
+    ("R-non-finite", 3, _token_set(6, "1e400"), "R record: non-finite number for position"),
+    ("R-number", 4, _token_set(12, "5,0"), "R record: invalid number '5,0' for bbox high"),
+    ("R-padding", 4, _token_set(4, "0.0"), "R record: expected literal '0' padding at token 4, found '0.0'"),
+    ("R-token-count", 4, lambda s: s + " 0", "R record: expected 20 tokens, found 21"),
+    ("C-integer", 5, _token_set(4, "seven"), "C record: invalid integer 'seven' for mpcat40 index"),
+    ("C-lower-name", 5, _token_set(3, "__"), "C record: empty name '__'"),
+    ("C-name", 6, _token_set(5, "_"), "C record: empty name '_'"),
+    ("C-padding", 6, _token_set(10, "x"), "C record: expected literal '0' padding at token 10, found 'x'"),
+    ("C-token-count", 6, lambda s: s.rsplit(" ", 1)[0], "C record: expected 11 tokens, found 10"),
+    ("P-integer", 8, _token_set(3, "r"), "P record: invalid integer 'r' for region index"),
+    ("P-non-finite", 9, _token_set(7, "nan"), "P record: non-finite number for position"),
+    ("P-padding", 7, _token_set(4, "-0"), "P record: expected literal '0' padding at token 4, found '-0'"),
+    ("P-token-count", 10, lambda s: s + " 0", "P record: expected 13 tokens, found 14"),
+    ("O-integer", 11, _token_set(3, "c"), "O record: invalid integer 'c' for category index"),
+    ("O-number", 12, _token_set(9, "x"), "O record: invalid number 'x' for axis0"),
+    ("O-non-finite", 12, _token_set(12, "-inf"), "O record: non-finite number for axis1"),
+    ("O-non-finite-radii", 13, _token_set(15, "NaN"), "O record: non-finite number for radii"),
+    ("O-padding", 13, _token_set(23, "1"), "O record: expected literal '0' padding at token 23, found '1'"),
+    ("O-token-count", 13, lambda s: s.rsplit(" ", 1)[0], "O record: expected 24 tokens, found 23"),
+]
+
+
+@pytest.mark.parametrize("line,edit,message", [case[1:] for case in _SINGLE_FAULTS],
+                         ids=[case[0] for case in _SINGLE_FAULTS])
+def test_single_fault_line_error_is_pinned(line, edit, message):
+    with pytest.raises(HouseParseError) as err:
+        parse_house(_edit_tiny(line, edit))
+    assert err.value.line_number == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("position,what,found", [(4, "panorama", 4), (8, "object", 3),
+                                                 (9, "category", 2), (10, "region", 2),
+                                                 (12, "level", 1)])
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_count_mismatch_names_the_header_line(position, what, found, blank_lines):
+    text = "\n" * blank_lines + _edit_tiny(1, _token_set(position, "7"))
+    line = blank_lines + 1
+    with pytest.raises(HouseParseError) as err:
+        parse_house(text)
+    assert err.value.line_number == line
+    assert str(err.value) == (f"line {line}: {what} count mismatch: "
+                              f"header declares 7, found {found}")
+
+
+_FUZZ_HOUSES = [fixtures.TINY_HOUSE] + [fx.house_text for fx in fixtures.all_scenes()]
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["1e400", "nan", "-inf", "__", "ab", "-1", "0", "00", "", "1.5"]),
+    st.integers(-3, 999).map(str),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _mutated_houses(draw):
+    lines = draw(st.sampled_from(_FUZZ_HOUSES)).splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["token", "drop", "duplicate", "truncate"]))
+    if how == "token":
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKENS)
+        lines[at] = " ".join(tokens)
+    elif how == "drop":
+        del lines[at]
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        lines[at] = lines[at][:draw(st.integers(0, len(lines[at]) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_houses())
+def test_mutated_house_parses_or_names_its_line(text):
+    try:
+        scene = parse_house(text)
+    except HouseParseError as exc:
+        assert isinstance(exc.line_number, int)
+        assert 1 <= exc.line_number <= max(1, len(text.splitlines()))
+    else:
+        assert isinstance(scene, SceneModel)
