@@ -171,6 +171,12 @@ def vec3(value: Any) -> tuple[float, float, float]:
     """Exactly three finite numbers, as a tuple of floats."""
     if type(value) is not list or len(value) != 3:
         raise JsonSchemaError("expected an array of 3 numbers", "")
+    x, y, z = value
+    # Three finite floats, the common case, skip the per-item checks; ints
+    # and every error go through ``_numbers``.
+    if (type(x) is type(y) is type(z) is float and -_FLOAT_MAX <= x <= _FLOAT_MAX
+            and -_FLOAT_MAX <= y <= _FLOAT_MAX and -_FLOAT_MAX <= z <= _FLOAT_MAX):
+        return x, y, z
     return _numbers(value)
 
 

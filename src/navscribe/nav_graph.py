@@ -262,6 +262,12 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
 
     The loop ends once ``n`` paths are collected or every eligible ordered
     pair has been used; the shortfall is reported in the result.
+
+    A source's eligible targets are found by one Dijkstra run, made the
+    first time that source is drawn as ``i``; sources never drawn cost
+    nothing. Draws after the last acceptance change no output, so the
+    result equals that of building every source's row before the first
+    draw.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -273,27 +279,30 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
         raise ValueError(f"min_geodesic must be finite and non-negative, got {min_geodesic}")
     ids = sorted(v.id for v in graph.viewpoints if v.included)
 
-    eligible: dict[tuple[str, str], tuple[tuple[str, ...], float]] = {}
-    for a in ids:
-        for b, (cost, path) in _dijkstra_all(graph, a).items():
-            if b == a:
-                continue
-            if min_hops <= len(path) - 1 <= max_hops and cost >= min_geodesic:
-                eligible[(a, b)] = (path, cost)
-
-    target = min(n, len(eligible))
+    # rows[a] maps each eligible target of a not yet accepted to (path, cost);
+    # ``left`` counts those pairs over the rows built so far.
+    rows: dict[str, dict[str, tuple[tuple[str, ...], float]]] = {}
+    left = 0
     rng = SplitMix64(seed)
-    used: set[tuple[str, str]] = set()
     out: list[PathSpec] = []
-    while len(out) < target:
+    while len(out) < n and (left or len(rows) < len(ids)):
         a = ids[rng.below(len(ids))]
         b = ids[rng.below(len(ids))]
-        if a == b or (a, b) in used or (a, b) not in eligible:
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = {
+                target: (path, cost)
+                for target, (cost, path) in _dijkstra_all(graph, a).items()
+                if target != a and min_hops <= len(path) - 1 <= max_hops
+                and cost >= min_geodesic
+            }
+            left += len(row)
+        if b not in row:  # also when a == b, which no row holds
             continue
         k = rng.below(HEADING_CHOICES)
-        path, cost = eligible[(a, b)]
+        path, cost = row.pop(b)
+        left -= 1
         out.append(PathSpec(graph.scan_id, path, k * math.pi / 6.0, cost))
-        used.add((a, b))
     return SampleResult(tuple(out), n - len(out))
 
 

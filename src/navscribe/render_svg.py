@@ -8,6 +8,7 @@ coordinates formatted to two decimals, so renders are byte-stable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .nav_graph import NavGraph
@@ -25,6 +26,9 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size > sys.float_info.max:  # float(size), and so the scale, would overflow
+                raise ValueError(f"{name} must be at most {sys.float_info.max:g} pixels")
         # NaN would make every coordinate nan, infinity the scale 0, and a
         # subnormal radius the scale infinite, which maps the centre to nan.
         if not (self.radius > 0.0 and 0.0 < self.scale < math.inf):
@@ -51,11 +55,16 @@ def render_viewpoint(scene: SceneModel, graph: NavGraph, spec: RenderSpec) -> st
     center = graph.position(spec.viewpoint)
     scale = spec.scale
 
+    def finite(x: float, y: float) -> tuple[float, float]:
+        # Arrows reach every neighbour whatever the radius, so a tiny radius
+        # can scale a finite offset past the float range.
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"radius {spec.radius} puts canvas coordinates out of float range")
+        return x, y
+
     def to_canvas(p: Vec3) -> tuple[float, float]:
-        return (
-            spec.width / 2.0 + (p[0] - center[0]) * scale,
-            spec.height / 2.0 - (p[1] - center[1]) * scale,
-        )
+        return finite(spec.width / 2.0 + (p[0] - center[0]) * scale,
+                      spec.height / 2.0 - (p[1] - center[1]) * scale)
 
     parts: list[str] = []
     parts.append(
@@ -102,7 +111,7 @@ def render_viewpoint(scene: SceneModel, graph: NavGraph, spec: RenderSpec) -> st
             f'x2="{_fmt(nx)}" y2="{_fmt(ny)}" stroke="#225577" stroke-width="2" '
             f'marker-end="url(#arrow)"/>'
         )
-        mx, my = (cx + nx) / 2.0, (cy + ny) / 2.0
+        mx, my = finite((cx + nx) / 2.0, (cy + ny) / 2.0)
         parts.append(
             f'  <text class="edge-label" x="{_fmt(mx)}" y="{_fmt(my)}" font-size="11" '
             f'text-anchor="middle" fill="#225577">{_fmt(length)} m</text>'

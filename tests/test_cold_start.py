@@ -4,6 +4,11 @@ Every CLI command is a fresh process, so each module the command line
 imports is loaded again per command. The compile path needs neither numpy
 nor the network stack that ``xml.sax.saxutils`` drags in through
 ``urllib.request``, nor the bundled demo scenes of ``navscribe.fixtures``.
+
+The probes run under ``-I``, which ignores ``PYTHONDONTWRITEBYTECODE``, so a
+caller that writes no bytecode passes ``-B`` on: otherwise a test run would
+leave bytecode in ``__pycache__`` under ``src/`` and later cold starts would
+read it.
 """
 from __future__ import annotations
 
@@ -29,9 +34,14 @@ print(json.dumps({"file": navscribe.cli.__file__,
 
 
 def _import_cli(*flags: str) -> dict:
+    if sys.flags.dont_write_bytecode:
+        flags = ("-B", *flags)
+    before = set(SRC.rglob("*.pyc"))
     done = subprocess.run([sys.executable, *flags, "-c", _PROBE, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    if sys.flags.dont_write_bytecode:
+        assert set(SRC.rglob("*.pyc")) == before
     return json.loads(done.stdout)
 
 

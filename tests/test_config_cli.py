@@ -171,6 +171,9 @@ class TestCli:
         ("render", "--radius", "nan"),
         ("render", "--radius", "inf"),
         ("render", "--radius", "1e-320"),
+        ("render", "--radius", "3e-306"),
+        pytest.param("render", "--width", str(10**400), id="render---width-10**400"),
+        pytest.param("render", "--height", str(10**400), id="render---height-10**400"),
         ("validate", "--success-radius", "nan"),
         ("sample-paths", "--min-geodesic", "nan"),
         ("sample-paths", "--min-geodesic", "inf"),

@@ -11,12 +11,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SQUARE_EDGES, SQUARE_POSITIONS, build_graph
 from navscribe.jsonio import JsonSchemaError
-from navscribe.nav_graph import (ConnectivityError, PathSpec, geodesic_distance,
+from navscribe.nav_graph import (HEADING_CHOICES, ConnectivityError, NavGraph, PathSpec,
+                                 SampleResult, Viewpoint, _dijkstra_all, geodesic_distance,
                                  neighbors, parse_connectivity, paths_from_json,
                                  paths_to_json, sample_paths, shortest_path)
+from navscribe.rng import SplitMix64
 
 
 def _entry(image_id, x, y, z, included, unobstructed):
@@ -279,6 +283,72 @@ class TestSamplePaths:
                               min_geodesic=0.0)
         for p in result.paths:
             assert "c" not in p.path
+
+
+def eager_sample_paths(graph, n, seed, min_hops, max_hops, min_geodesic):
+    """The documented sampling procedure with every source's eligible row
+    built before the first draw: the reference for ``sample_paths``."""
+    ids = sorted(v.id for v in graph.viewpoints if v.included)
+    eligible = {}
+    for a in ids:
+        for b, (cost, path) in _dijkstra_all(graph, a).items():
+            if b == a:
+                continue
+            if min_hops <= len(path) - 1 <= max_hops and cost >= min_geodesic:
+                eligible[(a, b)] = (path, cost)
+    target = min(n, len(eligible))
+    rng = SplitMix64(seed)
+    used = set()
+    out = []
+    while len(out) < target:
+        a = ids[rng.below(len(ids))]
+        b = ids[rng.below(len(ids))]
+        if a == b or (a, b) in used or (a, b) not in eligible:
+            continue
+        k = rng.below(HEADING_CHOICES)
+        path, cost = eligible[(a, b)]
+        out.append(PathSpec(graph.scan_id, path, k * math.pi / 6.0, cost))
+        used.add((a, b))
+    return SampleResult(tuple(out), n - len(out))
+
+
+@st.composite
+def _sampling_graphs(draw):
+    """Small graphs on integer points: random edge sets, which may split into
+    components, or full grids, whose unit edges tie many routes exactly; some
+    viewpoints excluded, and as few as none included."""
+    if draw(st.booleans()):
+        w, h = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        points = [(float(x), float(y), 0.0) for x in range(w) for y in range(h)]
+        pairs = [(i, j) for i, p in enumerate(points) for j, q in enumerate(points)
+                 if i < j and math.dist(p, q) == 1.0]
+    else:
+        cells = [(float(x), float(y), 0.0) for x in range(4) for y in range(4)]
+        points = draw(st.permutations(cells))[:draw(st.integers(0, 12))]
+        every = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+        pairs = draw(st.lists(st.sampled_from(every), min_size=min(len(every), len(points)),
+                              unique=True)) if every else []
+    names = draw(st.permutations([f"v{i}" for i in range(len(points))]))
+    excluded = draw(st.sets(st.integers(0, max(len(points) - 1, 0)),
+                            max_size=len(points) // 3 + 1))
+    included = [i not in excluded for i in range(len(points))]
+    viewpoints = [Viewpoint(name, p, 1.5, inc) for name, p, inc in zip(names, points, included)]
+    edges = {}
+    for i, j in pairs:
+        if included[i] and included[j]:
+            a, b = sorted((names[i], names[j]))
+            edges[(a, b)] = math.dist(points[i], points[j])
+    return NavGraph("gen", viewpoints, edges)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(graph=_sampling_graphs(), n=st.sampled_from([0, 1, 2, 3, 5, 200]),
+       seed=st.integers(0, 2**64 - 1), min_hops=st.integers(0, 3),
+       extra_hops=st.integers(0, 4), min_geodesic=st.sampled_from([0.0, 1.0, 1.5, 2.5]))
+def test_sample_paths_equals_the_eager_reference(graph, n, seed, min_hops, extra_hops,
+                                                 min_geodesic):
+    args = (graph, n, seed, min_hops, min_hops + extra_hops, min_geodesic)
+    assert sample_paths(*args) == eager_sample_paths(*args)
 
 
 class TestPathsJson:

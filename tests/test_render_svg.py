@@ -53,6 +53,20 @@ class TestRender:
         assert "2.00 m" in svg
         assert "9.00 m" in svg
 
+    def test_arrow_beyond_float_range_names_the_radius(self, bundle):
+        # The scale is finite, but the arrow to "f", 9 m away, overflows it.
+        scene, graph = bundle
+        with pytest.raises(ValueError, match=r"^radius 3e-306 puts canvas coordinates"):
+            render_viewpoint(scene, graph, RenderSpec("c", radius=3e-306))
+
+    def test_arrow_label_beyond_float_range_names_the_radius(self, bundle):
+        # Both arrow ends are finite (5e307 and 1.3e308), their sum is not.
+        scene, _ = bundle
+        graph = build_graph({"c": (0.0, 0.0, 0.0), "n": (2.0, 0.0, 0.0)}, [("c", "n")])
+        spec = RenderSpec("c", radius=1.25, width=10**308, height=10**308)
+        with pytest.raises(ValueError, match=r"^radius 1.25 puts canvas coordinates"):
+            render_viewpoint(scene, graph, spec)
+
     def test_byte_determinism(self, bundle):
         scene, graph = bundle
         spec = RenderSpec("c", radius=5.0, width=640, height=480)
@@ -113,3 +127,9 @@ class TestRenderSpec:
     def test_bad_canvas(self):
         with pytest.raises(ValueError, match="1x1"):
             RenderSpec("v", width=0)
+
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_canvas_beyond_float_range_rejected(self, side):
+        # float(10**400) overflows, so no scale can be computed from it.
+        with pytest.raises(ValueError, match=f"^{side} must be at most"):
+            RenderSpec("v", **{side: 10**400})

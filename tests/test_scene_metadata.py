@@ -210,6 +210,41 @@ class TestSceneJson:
         with pytest.raises(SceneJsonError):
             read_scene_json("[1, 2]")
 
+    def test_integer_vector_entries_read_as_floats(self, tiny_scene):
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["objects"][0]["center"] = [1, -2, 3]
+        center = read_scene_json(json.dumps(doc)).objects[0].center
+        assert center == (1.0, -2.0, 3.0)
+        assert [type(x) for x in center] == [float, float, float]
+
+    # The JSON text of one vector entry, and the error it must give.
+    @pytest.mark.parametrize("token,message", [
+        ("NaN", "expected a finite number, found nan"),
+        ("Infinity", "expected a finite number, found inf"),
+        ("-Infinity", "expected a finite number, found -inf"),
+        ("1e400", "expected a finite number, found inf"),
+        (str(10**400), "expected a finite number, found an integer out of range"),
+        ("true", "expected a number, found boolean"),
+        ('"1"', "expected a number, found string"),
+        ("null", "expected a number, found null"),
+    ])
+    def test_bad_vector_entry_is_pinned(self, tiny_scene, token, message):
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["objects"][0]["center"][1] = "@entry@"
+        text = json.dumps(doc).replace('"@entry@"', token)
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(text)
+        assert (err.value.json_path, err.value.args[0]) == ("$.objects[0].center[1]", message)
+
+    @pytest.mark.parametrize("vector", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], "1,2,3"])
+    def test_wrong_length_vector_is_pinned(self, tiny_scene, vector):
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc["objects"][0]["center"] = vector
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(json.dumps(doc))
+        assert (err.value.json_path, err.value.args[0]) == (
+            "$.objects[0].center", "expected an array of 3 numbers")
+
 
 def test_bundled_fixture_scenes_parse():
     for fix in fixtures.all_scenes():
