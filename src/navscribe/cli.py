@@ -131,10 +131,13 @@ def _cmd_supervise(args) -> int:
     records = read_r2r_json(_read(args.dataset))
     n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
-    for record in records:
+    for i, record in enumerate(records):
+        text = record.instructions[0]
+        if not tokenize(text):
+            raise jsonio.JsonSchemaError("instruction has no tokens after tokenization",
+                                         f"$[{i}].instructions[0]")
         path = PathSpec(record.scan, record.path, record.heading, record.distance)
-        supervisions.append(build_supervision(scan, path, record.instructions[0], n,
-                                              path_id=record.path_id))
+        supervisions.append(build_supervision(scan, path, text, n, path_id=record.path_id))
     _write(_out_path(args, cfg), emit_supervision_json(supervisions))
     return 0
 
@@ -213,13 +216,20 @@ def _cmd_loss_check(args) -> int:
 def _cmd_stats(args) -> int:
     cfg = _run_config(args)
     records = read_r2r_json(_read(args.dataset))
-    token_lists = [tokenize(text) for r in records for text in r.instructions]
-    n_instructions = len(token_lists)
-    vocabulary = {token for tokens in token_lists for token in tokens}
+    # One pass that keeps no token list: the counts are integers, so the
+    # means are the same as from the lists.
+    n_instructions = n_tokens = 0
+    vocabulary: set[str] = set()
+    for r in records:
+        for text in r.instructions:
+            tokens = tokenize(text)
+            n_instructions += 1
+            n_tokens += len(tokens)
+            vocabulary.update(tokens)
     report = {
         "records": len(records),
         "instructions": n_instructions,
-        "mean_tokens": (sum(len(t) for t in token_lists) / n_instructions) if n_instructions else 0.0,
+        "mean_tokens": (n_tokens / n_instructions) if n_instructions else 0.0,
         "mean_path_nodes": (sum(len(r.path) for r in records) / len(records)) if records else 0.0,
         "mean_distance": (sum(r.distance for r in records) / len(records)) if records else 0.0,
         "vocabulary": len(vocabulary),

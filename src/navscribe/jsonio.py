@@ -6,11 +6,24 @@ which stdlib json cannot pin. It keeps dict insertion order, uses LF line
 endings and ends the document with a single newline. A dataclass instance
 becomes an object of its fields in declaration order. Each container is one
 ``join`` of its items' texts, so an array of scalars costs no recursion, and
-strings go through the C string encoder stdlib json itself uses. ``load``
-decodes with stdlib ``json`` and applies a schema composed of the checks
-below (``integer``, ``number``, ``string``, ``boolean``, ``array``, ``vec3``,
-and ``record`` or ``open_record``, which ignores keys it does not declare),
-each returning its converted value; a failed check raises
+strings go through the C string encoder stdlib json itself uses.
+
+A list or tuple of two or more records of exactly one dataclass type, such
+as a dataset or the objects of a scene, renders field by field when every
+field holds one kind of value across the list: an exact str, an exact int, a
+finite float, or a non-empty array of exact strs or of finite floats. Each
+field then becomes one lazily mapped column of texts built by C-level
+``map`` and ``join``, and each record is one ``%`` against a template built
+once for the list. ``zip`` pulls the columns record by record, so an int too
+long for ``str``, the one such value that can fail, raises where it would
+item by item. Any other list goes item by item, bools, None, subclasses,
+nested records, empty arrays, mixed kinds and non-finite floats among them,
+so errors keep their types and document order.
+
+``load`` decodes with stdlib ``json`` and applies a schema composed of the
+checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
+``vec3``, and ``record`` or ``open_record``, which ignores keys it does not
+declare), each returning its converted value; a failed check raises
 ``JsonSchemaError`` naming a ``json_path`` such as ``$[3].heading``, built
 only as the failure unwinds.
 """
@@ -20,7 +33,9 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Any, Callable
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Any, Callable, Iterator
 
 Check = Callable[[Any], Any]
 
@@ -71,9 +86,76 @@ def _render(value: Any, nl: str, float_fmt: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_scalar(item, float_fmt) or _render(item, inner, float_fmt) for item in value]
+        items = None
+        if len(value) > 1 and not isinstance(value[0], _NOT_RECORDS):
+            items = _record_texts(value, inner, float_fmt)
+        if items is None:
+            items = [_scalar(item, float_fmt) or _render(item, inner, float_fmt)
+                     for item in value]
         return f"[{inner}{(',' + inner).join(items)}{nl}]"
     raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
+
+
+# Types whose instances _render takes as a scalar, an object or an array
+# before it asks whether they are dataclasses. A list whose first item is one
+# skips _record_texts at the cost of one C-level check.
+_NOT_RECORDS = (str, int, float, dict, list, tuple)
+
+
+def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[str] | None:
+    """The texts of a list of two or more records of one dataclass type, the
+    first not an instance of ``_NOT_RECORDS``, rendered field by field; None
+    unless every record has that type and every field holds one kind that
+    ``_column`` renders. Each record starts on a line indented by ``nl``."""
+    cls = type(records[0])
+    if not dataclasses.is_dataclass(cls) or len(set(map(type, records))) != 1:
+        return None
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not names:
+        return None
+    inner = nl + "  "
+    try:
+        columns = [_column(list(map(attrgetter(name), records)), inner, float_fmt)
+                   for name in names]
+    except AttributeError:  # a field never set; item by item raises it in order
+        return None
+    if None in columns:
+        return None
+    # Field names are identifiers, so no key holds a '%'.
+    slots = (f"{_quote(name)}: {slot}" for name, (slot, _) in zip(names, columns))
+    template = f"{{{inner}{(',' + inner).join(slots)}{nl}}}"
+    return map(template.__mod__, zip(*(texts for _, texts in columns)))
+
+
+def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] | None:
+    """A ``%`` slot and the lazily mapped texts of one field of every record,
+    if the field holds one kind throughout: exact str, exact int or finite
+    float, or a non-empty array of exact str or of finite floats. ``nl``
+    starts the field's line. Anything else, such as a bool, a subclass, None,
+    an empty or nested array or mixed kinds, gives None."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is str:
+        return "%s", map(_quote, values)
+    if kind is int:
+        return "%s", map(str, values)
+    if kind is float and all(map(math.isfinite, values)):
+        return "%s", map(format, values, repeat(float_fmt))
+    if (kind is not list and kind is not tuple) or not all(values):
+        return None
+    items = list(chain.from_iterable(values))
+    kinds = set(map(type, items))
+    inner = nl + "  "
+    slot = f"[{inner}%s{nl}]"
+    if kinds == {str}:
+        texts = map(map, repeat(_quote), values)
+    elif kinds == {float} and all(map(math.isfinite, items)):
+        texts = map(map, repeat(format), values, repeat(repeat(float_fmt)))
+    else:
+        return None
+    return slot, map(("," + inner).join, texts)
 
 
 class JsonSchemaError(ValueError):

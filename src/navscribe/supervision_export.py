@@ -18,6 +18,7 @@ from .scene_metadata import head_noun
 PUNCTUATION = ".,;:!?\"'"
 
 _STRIP_TABLE = str.maketrans("", "", PUNCTUATION)
+_STRIP_BYTES = PUNCTUATION.encode()
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,13 @@ class WordObjectSupervision:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace."""
-    return text.lower().translate(_STRIP_TABLE).split()
+    text = text.lower()
+    if text.isascii():
+        # bytes.translate deletes in one C pass, where str.translate looks up
+        # every character in a dict. The str is split, not the bytes, because
+        # only str.split breaks at \x1c-\x1f.
+        return text.encode().translate(None, _STRIP_BYTES).decode().split()
+    return text.translate(_STRIP_TABLE).split()
 
 
 def align_words_to_nodes(num_tokens: int, num_nodes: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Part-of-speech driven instruction ablations.
 
-A lexicon file maps lowercase tokens to one of three tags (noun, adjective,
+A lexicon file maps tokens, each a single word as ``tokenize`` yields it
+(lowercase, no punctuation), to one of three tags (noun, adjective,
 other), one ``token<TAB>tag`` pair per line. Ablation tokenizes exactly like
 the supervision exporter, drops tokens whose tag matches the mode, and joins
 the survivors with single spaces. Unknown tokens count as ``other`` and are
@@ -56,8 +57,9 @@ def load_lexicon(text: str) -> PosLexicon:
         token, tag = parts[0].strip(), parts[1].strip()
         if not token:
             raise LexiconError("empty token", line_no)
-        if token != token.lower():
-            raise LexiconError(f"token must be lowercase: {token!r}", line_no)
+        if tokenize(token) != [token]:  # an entry instructions can never match
+            raise LexiconError("token must be one lowercase word without punctuation, "
+                               f"found {token!r}", line_no)
         if tag not in VALID_TAGS:
             raise LexiconError(f"unknown tag {tag!r} for token {token!r}", line_no)
         if token in lexicon:
@@ -74,9 +76,8 @@ def load_default_lexicon() -> PosLexicon:
 
 def ablate(instruction: str, mode: AblationMode, lexicon: PosLexicon) -> str:
     """Drop the mode's word classes from an instruction."""
-    tokens = tokenize(instruction)
     if mode is AblationMode.ALL:
         return ""
     dropped = _DROPPED_TAGS[mode]
-    kept = [t for t in tokens if lexicon.get(t, "other") not in dropped]
-    return " ".join(kept)
+    # An unknown token gives None, which is never a dropped tag.
+    return " ".join([t for t in tokenize(instruction) if lexicon.get(t) not in dropped])

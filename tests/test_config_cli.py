@@ -219,6 +219,42 @@ class TestCli:
         assert err == "error: n_objects must be at least 1, got -1\n"
         assert not out_file.exists()
 
+    def test_untokenizable_instruction_is_located_error(self, workdir, tmp_path, capsys):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        doc = json.loads(dataset.read_text("utf-8"))
+        doc[1]["instructions"][0] = "..."
+        dataset.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        out_file = tmp_path / "supervision.json"
+        code = main(["supervise", *_loop_args(workdir), "--dataset", str(dataset),
+                     "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: $[1].instructions[0]: instruction has no tokens "
+                       "after tokenization\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("entry", ["sofa.\tnoun", "coffee table\tnoun"])
+    def test_lexicon_entry_that_can_never_match_is_error(self, workdir, tmp_path, capsys,
+                                                         entry):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"walk\tother\n{entry}\n", "utf-8")
+        capsys.readouterr()
+        out_file = tmp_path / "ablated.json"
+        code = main(["ablate", "--dataset", str(dataset), "--mode", "nouns",
+                     "--lexicon", str(lexicon), "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("max_vocab", ["0", "1"])
     def test_loss_check_vocab_below_two_is_error(self, tmp_path, capsys, max_vocab):
         out_file = tmp_path / "loss.json"

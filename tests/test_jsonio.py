@@ -2,12 +2,14 @@
 fuzzing of every JSON reader, the connectivity reader included."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navscribe import jsonio
@@ -132,6 +134,146 @@ def test_dataclass_is_an_object_in_field_order():
         xy: tuple[float, float]
 
     assert jsonio.dumps(Point("p", (1.0, 2.0))) == jsonio.dumps({"name": "p", "xy": [1.0, 2.0]})
+
+
+def _item_by_item(value, float_fmt=".6f", nl="\n"):
+    """The emitter before lists of records went field by field: every value
+    rendered on its own, in document order. The reference for ``dumps``."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number not serializable: {value}")
+        return format(value, float_fmt)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    if not isinstance(value, (dict, list, tuple)) and dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key: {key!r}")
+            items.append(f"{json.encoder.encode_basestring(key)}: "
+                         f"{_item_by_item(item, float_fmt, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_item_by_item(item, float_fmt, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
+
+
+def _outcome(render):
+    """The text ``render()`` returns, or the type of error it raises."""
+    try:
+        return render()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@dataclass
+class _One:
+    a: Any
+
+
+@dataclass
+class _Three:
+    a: Any
+    b: Any
+    c: Any
+
+
+@dataclass
+class _Four(_Three):
+    d: Any
+
+
+@dataclass
+class _Nothing:
+    pass
+
+
+class _Label(str):
+    pass
+
+
+class _Metres(float):
+    pass
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Each field of a generated record list draws every record's value from one
+# kind. The kinds rendered field by field come first and are drawn more often.
+_FAST_KINDS = [
+    _ANY_TEXT,
+    st.integers(),
+    _FINITE,
+    st.lists(_ANY_TEXT, min_size=1, max_size=3).map(tuple),
+    st.lists(_FINITE, min_size=1, max_size=3),
+]
+_OTHER_KINDS = [
+    st.booleans(),
+    st.booleans() | st.integers(-2, 2),
+    st.none(),
+    _ANY_TEXT.map(_Label),
+    _FINITE.map(_Metres),
+    st.integers(-2, 2) | _FINITE,
+    st.floats(),
+    st.lists(_ANY_TEXT, max_size=2).map(tuple),
+    st.lists(st.lists(_ANY_TEXT, max_size=2).map(tuple), max_size=2).map(tuple),
+    st.lists(_FINITE | _ANY_TEXT, min_size=1, max_size=3),
+    st.builds(_One, st.integers()),
+    st.just(frozenset()),
+]
+# Values that break a field's kind when one later record holds them.
+_BREAKERS = [math.nan, -math.inf, True, 0, 0.5, None, "s", (), ("t",), (0.25,), [1],
+             ((0.5,),), _Label("l"), _Metres(2.0), _One(1), frozenset()]
+
+
+@st.composite
+def _record_lists(draw):
+    cls = draw(st.sampled_from([_One, _Three, _Three, _Nothing]))
+    names = [f.name for f in dataclasses.fields(cls)]
+    kinds = [draw(st.sampled_from(_FAST_KINDS * 3 + _OTHER_KINDS)) for _ in names]
+    n = draw(st.integers(1, 4))
+    records = [cls(*(draw(kind) for kind in kinds)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):  # a later record breaks a field's kind
+        i = draw(st.integers(1, n - 1))
+        if names and draw(st.integers(0, 3)):
+            setattr(records[i], draw(st.sampled_from(names)), draw(st.sampled_from(_BREAKERS)))
+        else:  # a record of another type, with record 0's values where it can
+            other, shared = draw(st.sampled_from([_One, _Three, _Four])), vars(records[0])
+            records[i] = other(*(shared.get(f.name, 0) for f in dataclasses.fields(other)))
+    records = draw(st.sampled_from([list, tuple]))(records)
+    # At the top level and nested, so that every indent is exercised.
+    return draw(st.sampled_from([records, {"records": records, "n": n}, [[records], 1.5]]))
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(_record_lists(), st.sampled_from([".6f", ".3e"]))
+@example([_Three(True, 1, "x"), _Three(False, 2, "y")], ".6f")
+@example([_Three(1, "x", [1.0]), _Three(True, "y", [2.0])], ".6f")
+@example([_Three(_Label("a"), _Metres(1.0), 2.0), _Three("b", 2.0, 3.0)], ".6f")
+@example([_Three(1, 2.0, "a"), _Three(2.5, 3.0, "b")], ".6f")
+@example([_Three(1.0, (0.5,), "a"), _Three(math.nan, (1.5,), "b")], ".6f")
+@example([_Three((), ("a",), 1), _Three(("b",), (), 2)], ".6f")
+@example([_Three(((1.0,),), ("a",), 1), _Three(((2.0,),), ("b",), 2)], ".6f")
+@example([_Three(1, {2: 3}, "a"), _Three(math.nan, 1.0, "b")], ".6f")
+def test_record_lists_render_as_item_by_item(value, float_fmt):
+    expected = _outcome(lambda: _item_by_item(value, float_fmt))
+    got = _outcome(lambda: jsonio.dumps(value, float_fmt=float_fmt))
+    if isinstance(expected, str):
+        expected += "\n"
+    assert got == expected
 
 
 _INT = st.integers(-1, 3)

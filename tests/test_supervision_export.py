@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, build_scene
@@ -18,6 +18,23 @@ from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision,
                                           read_r2r_json, read_supervision_json,
                                           tokenize, top_n_objects)
 
+# The tokenizer as first written: one str.translate over the lowercased text.
+_REFERENCE_STRIP = str.maketrans("", "", ".,;:!?\"'")
+
+
+def _reference_tokenize(text):
+    return text.lower().translate(_REFERENCE_STRIP).split()
+
+
+# Every punctuation character, the separators only str.split knows
+# (\x1c-\x1f), the Kelvin sign (lowercases to ASCII "k") and dotted capital I
+# (lowercases to two characters, one not ASCII), among arbitrary characters.
+_TOKENIZER_TEXT = st.text(
+    st.sampled_from(list(".,;:!?\"'") + list("\x1c\x1d\x1e\x1f\x85\xa0\u2028 \t\nAz-2")
+                    + ["\u212a", "\u0130", "\u00e9", "\u00c9", "\U0001f600"])
+    | st.characters(),
+    max_size=12)
+
 
 class TestTokenize:
     def test_lowercases_and_strips_punctuation(self):
@@ -28,6 +45,15 @@ class TestTokenize:
 
     def test_keeps_hyphens_and_digits(self):
         assert tokenize("room-2 ahead") == ["room-2", "ahead"]
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(_TOKENIZER_TEXT)
+    @example("Turn LEFT,\x1cwalk\x1fstraight.")
+    @example("\u212aitchen, Sofa!")
+    @example("\u0130stanbul? r\u00c9d.")
+    @example(".,;:!?\"' ")
+    def test_equals_the_str_translate_reference(self, text):
+        assert tokenize(text) == _reference_tokenize(text)
 
 
 class TestAlignment:

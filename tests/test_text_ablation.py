@@ -51,6 +51,13 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="empty token"):
             load_lexicon(" \tnoun\n")
 
+    @pytest.mark.parametrize("token", ["sofa.", "coffee table", "it's", "coffee\xa0table"])
+    def test_token_that_tokenizes_otherwise_rejected(self, token):
+        # No instruction token can equal it, so the entry could never match.
+        with pytest.raises(LexiconError, match="one lowercase word") as err:
+            load_lexicon(f"red\tadjective\n{token}\tnoun\n")
+        assert err.value.line_number == 2
+
 
 class TestDefaultLexicon:
     def test_size_and_spot_checks(self):
