@@ -23,8 +23,9 @@ from .nav_graph import (PathSpec, parse_connectivity, paths_from_json,
 from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
-from .supervision_export import (DatasetRecord, build_supervision, emit_r2r_json,
-                                 emit_supervision_json, read_r2r_json, tokenize)
+from .supervision_export import (DatasetRecord, NoTokensError, build_supervision,
+                                 emit_r2r_json, emit_supervision_json, read_r2r_json,
+                                 tokenize)
 from .text_ablation import AblationMode, ablate, load_default_lexicon, load_lexicon
 
 
@@ -132,12 +133,12 @@ def _cmd_supervise(args) -> int:
     n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
     for i, record in enumerate(records):
-        text = record.instructions[0]
-        if not tokenize(text):
-            raise jsonio.JsonSchemaError("instruction has no tokens after tokenization",
-                                         f"$[{i}].instructions[0]")
         path = PathSpec(record.scan, record.path, record.heading, record.distance)
-        supervisions.append(build_supervision(scan, path, text, n, path_id=record.path_id))
+        try:
+            supervisions.append(build_supervision(scan, path, record.instructions[0], n,
+                                                  path_id=record.path_id))
+        except NoTokensError as exc:
+            raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
     _write(_out_path(args, cfg), emit_supervision_json(supervisions))
     return 0
 

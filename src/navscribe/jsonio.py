@@ -9,16 +9,16 @@ becomes an object of its fields in declaration order. Each container is one
 strings go through the C string encoder stdlib json itself uses.
 
 A list or tuple of two or more records of exactly one dataclass type, such
-as a dataset or the objects of a scene, renders field by field when every
-field holds one kind of value across the list: an exact str, an exact int, a
-finite float, or a non-empty array of exact strs or of finite floats. Each
-field then becomes one lazily mapped column of texts built by C-level
-``map`` and ``join``, and each record is one ``%`` against a template built
-once for the list. ``zip`` pulls the columns record by record, so an int too
-long for ``str``, the one such value that can fail, raises where it would
-item by item. Any other list goes item by item, bools, None, subclasses,
-nested records, empty arrays, mixed kinds and non-finite floats among them,
-so errors keep their types and document order.
+as a dataset, renders field by field when every field holds one kind of
+value across the list: an exact str, an exact int, a finite float, or a
+non-empty array of exact strs. Each field then becomes one lazily mapped
+column of texts built by C-level ``map`` and ``join``, and each record is
+one ``%`` against a template built once for the list. ``zip`` pulls the
+columns record by record, so an int too long for ``str``, the one such value
+that can fail, raises where it would item by item. Any other list goes item
+by item, bools, None, subclasses, nested records, empty arrays, arrays of
+numbers, mixed kinds and non-finite floats among them, so errors keep their
+types and document order.
 
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
@@ -86,12 +86,10 @@ def _render(value: Any, nl: str, float_fmt: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = None
-        if len(value) > 1 and not isinstance(value[0], _NOT_RECORDS):
-            items = _record_texts(value, inner, float_fmt)
-        if items is None:
-            items = [_scalar(item, float_fmt) or _render(item, inner, float_fmt)
-                     for item in value]
+        items = (not isinstance(value[0], _NOT_RECORDS) and len(value) > 1
+                 and _record_texts(value, inner, float_fmt)
+                 or [_scalar(item, float_fmt) or _render(item, inner, float_fmt)
+                     for item in value])
         return f"[{inner}{(',' + inner).join(items)}{nl}]"
     raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
 
@@ -114,13 +112,15 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
     if not names:
         return None
     inner = nl + "  "
-    try:
-        columns = [_column(list(map(attrgetter(name), records)), inner, float_fmt)
-                   for name in names]
-    except AttributeError:  # a field never set; item by item raises it in order
-        return None
-    if None in columns:
-        return None
+    columns = []
+    for name in names:
+        try:
+            column = _column(list(map(attrgetter(name), records)), inner, float_fmt)
+        except AttributeError:  # a field never set; item by item raises it in order
+            return None
+        if column is None:
+            return None
+        columns.append(column)
     # Field names are identifiers, so no key holds a '%'.
     slots = (f"{_quote(name)}: {slot}" for name, (slot, _) in zip(names, columns))
     template = f"{{{inner}{(',' + inner).join(slots)}{nl}}}"
@@ -130,9 +130,9 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
 def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] | None:
     """A ``%`` slot and the lazily mapped texts of one field of every record,
     if the field holds one kind throughout: exact str, exact int or finite
-    float, or a non-empty array of exact str or of finite floats. ``nl``
-    starts the field's line. Anything else, such as a bool, a subclass, None,
-    an empty or nested array or mixed kinds, gives None."""
+    float, or a non-empty array of exact strs. ``nl`` starts the field's
+    line. Anything else, such as a bool, a subclass, None, an empty array, an
+    array of numbers or mixed kinds, gives None."""
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
@@ -143,19 +143,11 @@ def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] 
         return "%s", map(str, values)
     if kind is float and all(map(math.isfinite, values)):
         return "%s", map(format, values, repeat(float_fmt))
-    if (kind is not list and kind is not tuple) or not all(values):
+    if ((kind is not list and kind is not tuple) or not all(values)
+            or set(map(type, chain.from_iterable(values))) != {str}):
         return None
-    items = list(chain.from_iterable(values))
-    kinds = set(map(type, items))
     inner = nl + "  "
-    slot = f"[{inner}%s{nl}]"
-    if kinds == {str}:
-        texts = map(map, repeat(_quote), values)
-    elif kinds == {float} and all(map(math.isfinite, items)):
-        texts = map(map, repeat(format), values, repeat(repeat(float_fmt)))
-    else:
-        return None
-    return slot, map(("," + inner).join, texts)
+    return f"[{inner}%s{nl}]", map(("," + inner).join, map(map, repeat(_quote), values))
 
 
 class JsonSchemaError(ValueError):

@@ -99,12 +99,16 @@ def top_n_objects(scan: Scan, node: str, n: int) -> list[str]:
     return out
 
 
+class NoTokensError(ValueError):
+    """An instruction that has no tokens after tokenization."""
+
+
 def build_supervision(scan: Scan, path: PathSpec, instruction: str, n: int,
                       path_id: int = 0) -> WordObjectSupervision:
     """Token-to-node alignment plus per-token object labels for one instruction."""
     tokens = tokenize(instruction)
     if not tokens:
-        raise ValueError("instruction has no tokens after tokenization")
+        raise NoTokensError("instruction has no tokens after tokenization")
     node_of_token = align_words_to_nodes(len(tokens), len(path.path))
     per_node: dict[int, tuple[str, ...]] = {}
     for node_idx in node_of_token:

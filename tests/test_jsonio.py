@@ -218,9 +218,9 @@ _FAST_KINDS = [
     st.integers(),
     _FINITE,
     st.lists(_ANY_TEXT, min_size=1, max_size=3).map(tuple),
-    st.lists(_FINITE, min_size=1, max_size=3),
 ]
 _OTHER_KINDS = [
+    st.lists(_FINITE, min_size=1, max_size=3),
     st.booleans(),
     st.booleans() | st.integers(-2, 2),
     st.none(),
