@@ -59,12 +59,6 @@ def _with_flags(section, args):
     return dataclasses.replace(section, **given)
 
 
-def _run_config(args) -> RunConfig:
-    if args.config is None:
-        return RunConfig()
-    return load_config(_read(args.config))
-
-
 def _load_scene(path: str) -> SceneModel:
     """Accepts raw .house text or the canonical scene JSON."""
     text = _read(path)
@@ -80,34 +74,25 @@ def _load_scan(args, cfg: RunConfig) -> Scan:
     return Scan(scene, graph, cfg.saliency)
 
 
-def _out_path(args, cfg: RunConfig) -> str:
-    return _resolve(args.out, cfg.files.out, "output file (--out)")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse_scene(args) -> int:
-    cfg = _run_config(args)
+def _cmd_parse_scene(args, cfg: RunConfig) -> tuple[str, int]:
     scene = parse_house(_read(_resolve(args.house, cfg.files.scene, "scene file (--house)")))
-    _write(_out_path(args, cfg), write_scene_json(scene))
-    return 0
+    return write_scene_json(scene), 0
 
 
-def _cmd_sample_paths(args) -> int:
-    cfg = _run_config(args)
+def _cmd_sample_paths(args, cfg: RunConfig) -> tuple[str, int]:
     result = sample_paths(_load_scan(args, cfg).graph,
                           **dataclasses.asdict(_with_flags(cfg.sampler, args)))
     if result.shortfall:
         print(f"warning: {result.shortfall} fewer paths than requested", file=sys.stderr)
-    _write(_out_path(args, cfg), paths_to_json(result))
-    return 0
+    return paths_to_json(result), 0
 
 
-def _cmd_craft(args) -> int:
-    cfg = _run_config(args)
+def _cmd_craft(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     sample = paths_from_json(_read(_resolve(args.paths, cfg.files.paths,
                                             "sampled paths file (--paths)")))
@@ -122,12 +107,10 @@ def _cmd_craft(args) -> int:
             instructions=(crafted.text,),
             distance=path.geodesic_length,
         ))
-    _write(_out_path(args, cfg), emit_r2r_json(records))
-    return 0
+    return emit_r2r_json(records), 0
 
 
-def _cmd_supervise(args) -> int:
-    cfg = _run_config(args)
+def _cmd_supervise(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
     n = _with_flags(cfg.aux, args).n_objects
@@ -139,12 +122,10 @@ def _cmd_supervise(args) -> int:
                                                   path_id=record.path_id))
         except NoTokensError as exc:
             raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
-    _write(_out_path(args, cfg), emit_supervision_json(supervisions))
-    return 0
+    return emit_supervision_json(supervisions), 0
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _run_config(args)
+def _cmd_ablate(args, cfg: RunConfig) -> tuple[str, int]:
     lexicon_path = args.lexicon if args.lexicon is not None else cfg.files.lexicon
     lexicon = load_default_lexicon() if lexicon_path is None else load_lexicon(_read(lexicon_path))
     mode = AblationMode(args.mode)
@@ -154,12 +135,10 @@ def _cmd_ablate(args) -> int:
                                                   for text in r.instructions))
         for r in records
     ]
-    _write(_out_path(args, cfg), emit_r2r_json(ablated))
-    return 0
+    return emit_r2r_json(ablated), 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = _run_config(args)
+def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
     rows = []
@@ -190,32 +169,26 @@ def _cmd_validate(args) -> int:
         } if aggregate else None,
         "paths": rows,
     }
-    _write(_out_path(args, cfg), jsonio.dumps(report))
-    return 0 if all_good else 1
+    return jsonio.dumps(report), 0 if all_good else 1
 
 
-def _cmd_render(args) -> int:
-    cfg = _run_config(args)
+def _cmd_render(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     spec = RenderSpec(viewpoint=args.viewpoint, radius=args.radius,
                       width=args.width, height=args.height)
-    _write(_out_path(args, cfg), render_viewpoint(scan.scene, scan.graph, spec))
-    return 0
+    return render_viewpoint(scan.scene, scan.graph, spec), 0
 
 
-def _cmd_loss_check(args) -> int:
-    cfg = _run_config(args)
+def _cmd_loss_check(args, cfg: RunConfig) -> tuple[str, int]:
     report = gradient_check(instances=args.instances, seed=args.seed,
                             max_vocab=args.max_vocab, lam=cfg.aux.lam,
                             n_objects=cfg.aux.n_objects, beta=cfg.aux.beta)
     # Relative errors sit far below 1e-6, so fixed six-decimal floats would
     # flatten them to zero; the report uses scientific notation instead.
-    _write(_out_path(args, cfg), jsonio.dumps(report, float_fmt=".3e"))
-    return 0 if report["passed"] else 1
+    return jsonio.dumps(report, float_fmt=".3e"), 0 if report["passed"] else 1
 
 
-def _cmd_stats(args) -> int:
-    cfg = _run_config(args)
+def _cmd_stats(args, cfg: RunConfig) -> tuple[str, int]:
     records = read_r2r_json(_read(args.dataset))
     # One pass that keeps no token list: the counts are integers, so the
     # means are the same as from the lists.
@@ -235,8 +208,7 @@ def _cmd_stats(args) -> int:
         "mean_distance": (sum(r.distance for r in records) / len(records)) if records else 0.0,
         "vocabulary": len(vocabulary),
     }
-    _write(_out_path(args, cfg), jsonio.dumps(report))
-    return 0
+    return jsonio.dumps(report), 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +294,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load the config, compute the artifact, then write it
+    to ``--out``, so a command that fails writes nothing."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = RunConfig() if args.config is None else load_config(_read(args.config))
+        text, code = args.func(args, cfg)
+        _write(_resolve(args.out, cfg.files.out, "output file (--out)"), text)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

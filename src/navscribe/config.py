@@ -6,22 +6,15 @@ at files that exist when the config is loaded.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
 
-from .object_saliency import DEFAULT_BLACKLIST, SaliencyConfig
+from .object_saliency import SaliencyConfig
+from .scene_metadata import LineError as ConfigError  # the config reader's name for it
+from .scene_metadata import numbered_lines
 from .view_geometry import FovConfig
-
-
-class ConfigError(ValueError):
-    """Bad config text."""
-
-    def __init__(self, message: str, line_number: int | None = None) -> None:
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -61,19 +54,28 @@ class RunConfig:
     files: FileConfig = field(default_factory=FileConfig)
 
 
-_INPUT_FILE_KEYS = ("scene", "graph", "paths", "lexicon")
-_FILE_KEYS = _INPUT_FILE_KEYS + ("out",)
-_FLOAT_KEYS = {
-    "lambda", "beta", "max_distance", "min_area", "min_geodesic",
-    "fov_half_width", "fov_elevation_lo", "fov_elevation_hi",
+# Each key's (section, field) in RunConfig; "fov" is saliency.fov. A key's
+# value is converted after the type of its field's default.
+_KEYS = {
+    "max_distance": ("saliency", "max_distance"), "min_area": ("saliency", "min_area"),
+    "blacklist": ("saliency", "blacklist"), "require_unique": ("saliency", "require_unique"),
+    "fov_half_width": ("fov", "half_width"), "fov_elevation_lo": ("fov", "elevation_lo"),
+    "fov_elevation_hi": ("fov", "elevation_hi"),
+    "n_paths": ("sampler", "n"), "seed": ("sampler", "seed"),
+    "min_hops": ("sampler", "min_hops"), "max_hops": ("sampler", "max_hops"),
+    "min_geodesic": ("sampler", "min_geodesic"),
+    "lambda": ("aux", "lam"), "beta": ("aux", "beta"), "n_objects": ("aux", "n_objects"),
+    "scene": ("files", "scene"), "graph": ("files", "graph"), "paths": ("files", "paths"),
+    "lexicon": ("files", "lexicon"), "out": ("files", "out"),
 }
-_INT_KEYS = {"n_objects", "n_paths", "seed", "min_hops", "max_hops"}
-_BOOL_KEYS = {"require_unique"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | {"blacklist"} | set(_FILE_KEYS)
+_DEFAULTS = {"fov": FovConfig(), "saliency": SaliencyConfig(), "sampler": SamplerConfig(),
+             "aux": AuxConfig(), "files": FileConfig()}
+_INPUT_FILE_KEYS = ("scene", "graph", "paths", "lexicon")
+_NON_NEGATIVE = {"lambda", "beta", "min_area", "min_geodesic", "n_paths", "min_hops", "max_hops"}
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    if key in _FLOAT_KEYS:
+def _parse_value(key: str, raw: str, kind: type, line_no: int):
+    if kind is float:
         try:
             value = float(raw)
         except ValueError:
@@ -81,26 +83,43 @@ def _parse_value(key: str, raw: str, line_no: int):
         if not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite", line_no)
         return value
-    if key in _INT_KEYS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: invalid integer {raw!r}", line_no) from None
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw == "true":
             return True
         if raw == "false":
             return False
         raise ConfigError(f"{key}: expected 'true' or 'false', found {raw!r}", line_no)
-    if key == "blacklist":
-        return frozenset(t.strip() for t in raw.split(",") if t.strip())
+    if kind is frozenset:
+        entries = [t.strip() for t in raw.split(",") if t.strip()]
+        for entry in entries:  # ingest stores category names only in this form
+            if entry != " ".join(entry.lower().split()):
+                raise ConfigError(f"{key}: entry {entry!r} is not lowercase and "
+                                  "single-spaced", line_no)
+        return frozenset(entries)
     return raw  # file path
+
+
+def _validate_value(key: str, value, line_no: int) -> None:
+    if key in _NON_NEGATIVE and value < 0:
+        raise ConfigError(f"{key}: must be non-negative, got {value}", line_no)
+    if key == "max_distance" and value <= 0:
+        raise ConfigError(f"{key}: must be positive, got {value}", line_no)
+    if key == "n_objects":
+        try:
+            AuxConfig(n_objects=value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line_no) from None
 
 
 def load_config(text: str) -> RunConfig:
     """Parse and validate config text against the closed schema."""
-    values: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    given: dict[str, dict] = {section: {} for section in _DEFAULTS}
+    for line_no, raw in numbered_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -108,61 +127,26 @@ def load_config(text: str) -> RunConfig:
             raise ConfigError(f"expected 'key = value', found {raw.strip()!r}", line_no)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", line_no)
-        if key in values:
+        section, name = _KEYS[key]
+        if name in given[section]:
             raise ConfigError(f"duplicate key {key!r}", line_no)
         if not value:
             raise ConfigError(f"{key}: empty value", line_no)
-        parsed = _parse_value(key, value, line_no)
+        parsed = _parse_value(key, value, type(getattr(_DEFAULTS[section], name)), line_no)
         _validate_value(key, parsed, line_no)
-        values[key] = parsed
+        given[section][name] = parsed
 
-    for key in _INPUT_FILE_KEYS:
-        if key in values and not os.path.isfile(str(values[key])):
-            raise ConfigError(f"{key}: input file does not exist: {values[key]!r}")
+    for key in _INPUT_FILE_KEYS:  # each named after its FileConfig field
+        if key in given["files"] and not os.path.isfile(given["files"][key]):
+            raise ConfigError(f"{key}: input file does not exist: {given['files'][key]!r}")
 
-    fov_kwargs = {}
-    for key, attr in (("fov_half_width", "half_width"), ("fov_elevation_lo", "elevation_lo"),
-                      ("fov_elevation_hi", "elevation_hi")):
-        if key in values:
-            fov_kwargs[attr] = values[key]
+    # Sections check rules that span fields (the FOV's elevation order), so
+    # their errors name no line.
     try:
-        fov = FovConfig(**fov_kwargs)
-        saliency = SaliencyConfig(
-            max_distance=values.get("max_distance", 3.5),
-            min_area=values.get("min_area", 0.2),
-            blacklist=values.get("blacklist", DEFAULT_BLACKLIST),
-            require_unique=values.get("require_unique", True),
-            fov=fov,
-        )
+        given["saliency"]["fov"] = dataclasses.replace(_DEFAULTS["fov"], **given.pop("fov"))
+        return RunConfig(**{section: dataclasses.replace(_DEFAULTS[section], **fields)
+                            for section, fields in given.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    sampler = SamplerConfig(
-        n=values.get("n_paths", 100),
-        seed=values.get("seed", 1),
-        min_hops=values.get("min_hops", 4),
-        max_hops=values.get("max_hops", 7),
-        min_geodesic=values.get("min_geodesic", 5.0),
-    )
-    aux = AuxConfig(
-        lam=values.get("lambda", 0.5),
-        beta=values.get("beta", 0.3),
-        n_objects=values.get("n_objects", 2),
-    )
-    files = FileConfig(**{key: values.get(key) for key in _FILE_KEYS})
-    return RunConfig(saliency=saliency, sampler=sampler, aux=aux, files=files)
-
-
-def _validate_value(key: str, value, line_no: int) -> None:
-    if key in ("lambda", "beta", "min_area", "min_geodesic") and value < 0:
-        raise ConfigError(f"{key}: must be non-negative, got {value}", line_no)
-    if key in ("max_distance",) and value <= 0:
-        raise ConfigError(f"{key}: must be positive, got {value}", line_no)
-    if key == "n_objects":
-        try:
-            AuxConfig(n_objects=value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), line_no) from None
-    if key in ("n_paths", "min_hops", "max_hops") and value < 0:
-        raise ConfigError(f"{key}: must be non-negative, got {value}", line_no)

@@ -227,19 +227,8 @@ def geodesic_distance(graph: NavGraph, a: str, b: str) -> float:
     graph.viewpoint(b)
     if a == b:
         return 0.0
-    dist: dict[str, float] = {}
-    heap = [(0.0, a)]
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = cost
-        if node == b:
-            return cost
-        for nbr, weight in graph.adjacency(node):
-            if nbr not in dist:
-                heapq.heappush(heap, (cost + weight, nbr))
-    return math.inf
+    best = _dijkstra_all(graph, a)
+    return best[b][0] if b in best else math.inf
 
 
 # ---------------------------------------------------------------------------

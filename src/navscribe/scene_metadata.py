@@ -24,14 +24,25 @@ from .view_geometry import Vec3
 AXIS_TOL = 1e-3
 
 
-class HouseParseError(ValueError):
-    """Malformed or inconsistent scene metadata text."""
+class LineError(ValueError):
+    """Malformed line-oriented text (a .house file, a config, a lexicon),
+    located by ``line_number`` when one line is at fault."""
 
     def __init__(self, message: str, line_number: int | None = None) -> None:
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+HouseParseError = LineError  # the .house reader's name for it
+
+
+def numbered_lines(text: str):
+    """(1-based line number, line) pairs. Lines end at LF only, and one
+    carriage return before it is dropped, so no other character such as
+    U+0085 or U+2028 starts a line."""
+    return enumerate((line.removesuffix("\r") for line in text.split("\n")), start=1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def parse_house(text: str) -> SceneModel:
     count that disagrees with the header names the H line.
     """
     numbered: dict[str, list] = {kind: [] for kind in _LAYOUTS}  # kind -> [(line, record)]
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered_lines(text):
         tokens = raw.split()
         if not tokens:
             continue
@@ -278,6 +289,25 @@ def _dot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+# Each record kind's list name, in errors and in the scene JSON.
+_SECTION_OF = {"category": "categories", "region": "regions",
+               "object": "objects", "panorama": "panoramas"}
+
+
+def _indexed(kind: str, records, err):
+    """(position, record) in order, each checked first for an index in
+    range and not seen before."""
+    seen: set[int] = set()
+    for pos, rec in enumerate(records):
+        if not 0 <= rec.index < len(records):
+            raise err(kind, pos, f"index {rec.index} out of range "
+                                 f"({len(records)} {_SECTION_OF[kind]})")
+        if rec.index in seen:
+            raise err(kind, pos, f"duplicate index {rec.index}")
+        seen.add(rec.index)
+        yield pos, rec
+
+
 def _validate_records(categories, regions, objects, panoramas, n_levels, err) -> None:
     """Semantic checks shared by the text parser and the JSON reader.
 
@@ -288,13 +318,7 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
     """
     n_categories, n_regions = len(categories), len(regions)
 
-    seen: set[int] = set()
-    for pos, cat in enumerate(categories):
-        if not 0 <= cat.index < n_categories:
-            raise err("category", pos, f"index {cat.index} out of range ({n_categories} categories)")
-        if cat.index in seen:
-            raise err("category", pos, f"duplicate index {cat.index}")
-        seen.add(cat.index)
+    for pos, cat in _indexed("category", categories, err):
         if not cat.name.strip():
             raise err("category", pos, "empty name")
         # Crafted text splits clauses at ". " and reads a stop clause's
@@ -302,40 +326,22 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
         if ". " in cat.name or cat.name.startswith(("left of the ", "right of the ")):
             raise err("category", pos, f"name {cat.name!r} would not parse back from crafted text")
 
-    seen = set()
-    for pos, region in enumerate(regions):
-        if not 0 <= region.index < n_regions:
-            raise err("region", pos, f"index {region.index} out of range ({n_regions} regions)")
-        if region.index in seen:
-            raise err("region", pos, f"duplicate index {region.index}")
-        seen.add(region.index)
+    for pos, region in _indexed("region", regions, err):
         if region.level_index < 0 or (n_levels is not None and region.level_index >= n_levels):
             raise err("region", pos, f"level index {region.level_index} does not resolve")
         for lo, hi in zip(region.bbox_lo, region.bbox_hi):
             if lo > hi:
                 raise err("region", pos, "bbox low exceeds bbox high")
 
-    seen = set()
     names: set[str] = set()
-    for pos, pano in enumerate(panoramas):
-        if not 0 <= pano.index < len(panoramas):
-            raise err("panorama", pos, f"index {pano.index} out of range ({len(panoramas)} panoramas)")
-        if pano.index in seen:
-            raise err("panorama", pos, f"duplicate index {pano.index}")
-        seen.add(pano.index)
+    for pos, pano in _indexed("panorama", panoramas, err):
         if pano.name in names:
             raise err("panorama", pos, f"duplicate name {pano.name!r}")
         names.add(pano.name)
         if pano.region_index < -1 or pano.region_index >= n_regions:
             raise err("panorama", pos, f"region index {pano.region_index} does not resolve")
 
-    seen = set()
-    for pos, obj in enumerate(objects):
-        if not 0 <= obj.index < len(objects):
-            raise err("object", pos, f"index {obj.index} out of range ({len(objects)} objects)")
-        if obj.index in seen:
-            raise err("object", pos, f"duplicate index {obj.index}")
-        seen.add(obj.index)
+    for pos, obj in _indexed("object", objects, err):
         if obj.region_index < -1 or obj.region_index >= n_regions:
             raise err("object", pos, f"region index {obj.region_index} does not resolve")
         if not 0 <= obj.category_index < n_categories:
@@ -411,10 +417,8 @@ def read_scene_json(text: str) -> SceneModel:
             raise SceneJsonError(f"category name {c.name!r} is not lowercase and "
                                  "single-spaced", f"$.categories[{i}].name")
 
-    section_of = {"category": "categories", "region": "regions",
-                  "object": "objects", "panorama": "panoramas"}
     _validate_records(
         scene.categories, scene.regions, scene.objects, scene.panoramas, None,
-        lambda kind, pos, msg: SceneJsonError(msg, f"$.{section_of[kind]}[{pos}]"),
+        lambda kind, pos, msg: SceneJsonError(msg, f"$.{_SECTION_OF[kind]}[{pos}]"),
     )
     return _index_sorted(scene)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from enum import Enum
 from importlib import resources
 
+from .scene_metadata import LineError as LexiconError  # the lexicon reader's name for it
+from .scene_metadata import numbered_lines
 from .supervision_export import tokenize
 
 # token -> tag; tags are the strings below
@@ -21,14 +23,6 @@ PosLexicon = dict[str, str]
 VALID_TAGS = frozenset({"noun", "adjective", "other"})
 
 DEFAULT_LEXICON_RESOURCE = "default_lexicon.tsv"
-
-
-class LexiconError(ValueError):
-    """Malformed lexicon text."""
-
-    def __init__(self, message: str, line_number: int) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 class AblationMode(Enum):
@@ -48,7 +42,7 @@ _DROPPED_TAGS = {
 def load_lexicon(text: str) -> PosLexicon:
     """Parse lexicon text; duplicate tokens and unknown tags are errors."""
     lexicon: PosLexicon = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered_lines(text):
         if not raw.strip():
             continue
         parts = raw.split("\t")

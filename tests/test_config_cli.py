@@ -101,6 +101,32 @@ class TestLoadConfig:
             load_config("fov_half_width = -1.0\n")
         assert err.value.line_number is None
 
+    def test_lines_end_at_newline_only(self):
+        # str.splitlines would also break at the vertical tab and read two keys.
+        with pytest.raises(ConfigError) as err:
+            load_config("seed = 1\x0bn_paths = 2\n")
+        assert str(err.value) == "line 1: seed: invalid integer '1\\x0bn_paths = 2'"
+        assert err.value.line_number == 1
+        assert load_config("seed = 3\r\nn_paths = 2\r\n").sampler == SamplerConfig(2, 3)
+
+    @pytest.mark.parametrize("entry", ["Floor", "coffee  table", "WALL"])
+    def test_blacklist_entry_that_can_never_match_is_rejected(self, entry):
+        # Ingest stores category names lowercase and single-spaced, so such
+        # an entry would leave the category it names mentionable.
+        with pytest.raises(ConfigError) as err:
+            load_config(f"seed = 1\nblacklist = wall, {entry}\n")
+        assert str(err.value) == (f"line 2: blacklist: entry {entry!r} is not lowercase "
+                                  "and single-spaced")
+        assert err.value.line_number == 2
+
+    def test_line_readers_share_one_error_class(self):
+        import navscribe
+        from navscribe.scene_metadata import HouseParseError
+        from navscribe.text_ablation import LexiconError
+        assert ConfigError is LexiconError is HouseParseError
+        assert navscribe.ConfigError is navscribe.LexiconError is navscribe.HouseParseError
+        assert navscribe.HouseParseError is ConfigError
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -343,6 +369,31 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["parse-scene"], ["sample-paths"], ["craft"], ["supervise", "--dataset", "d.json"],
+        ["ablate", "--dataset", "d.json", "--mode", "all"], ["validate", "--dataset", "d.json"],
+        ["render", "--viewpoint", "v"], ["loss-check", "--instances", "1"],
+        ["stats", "--dataset", "d.json"],
+    ], ids=lambda argv: argv[0])
+    def test_errors_come_config_first_then_inputs_then_out(self, tmp_path, capsys, argv):
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text("seed = 1\nlamda = 0.5\n", "utf-8")
+        out = tmp_path / "out.json"
+        # A bad config wins over missing inputs, and nothing is written.
+        assert main([*argv, "--config", str(bad_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: line 2: unknown key 'lamda'\n"
+        assert not out.exists()
+        # A missing input wins over a missing --out.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 0.25\n", "utf-8")
+        code = main([*argv, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        if argv[0] == "loss-check":  # reads no input file
+            assert code == 2 and err == ("usage error: missing output file (--out); "
+                                         "pass the flag or set it in the config file\n")
+        else:
+            assert code in (1, 2) and "output file" not in err
 
     def test_bad_subcommand_flag(self):
         with pytest.raises(SystemExit) as err:

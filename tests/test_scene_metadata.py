@@ -309,6 +309,19 @@ def test_single_fault_line_error_is_pinned(line, edit, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+def test_lines_end_at_newline_only():
+    # str.splitlines would also break at the trailing U+0085 of line 2 and
+    # number every later line one too high.
+    lines = _edit_tiny(12, _token_set(9, "x")).split("\n")
+    lines[1] += "\x85"
+    with pytest.raises(HouseParseError) as err:
+        parse_house("\n".join(lines))
+    assert str(err.value) == "line 12: O record: invalid number 'x' for axis0"
+    lines = fixtures.TINY_HOUSE.split("\n")
+    lines[1] += "\x85"
+    assert parse_house("\n".join(lines)) == parse_house(fixtures.TINY_HOUSE)
+
+
 @pytest.mark.parametrize("position,what,found", [(4, "panorama", 4), (8, "object", 3),
                                                  (9, "category", 2), (10, "region", 2),
                                                  (12, "level", 1)])

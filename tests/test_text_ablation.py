@@ -43,6 +43,15 @@ class TestLoadLexicon:
             load_lexicon("sofa\tnoun\nsofa\tnoun\n")
         assert err.value.line_number == 2
 
+    def test_lines_end_at_newline_only(self):
+        # str.splitlines would also break at U+0085 and report line 3.
+        with pytest.raises(LexiconError, match="expected 'token<TAB>tag'") as err:
+            load_lexicon("sofa\tnoun\x85chair\tnoun\nsofa\tnoun\n")
+        assert err.value.line_number == 1
+        with pytest.raises(LexiconError) as err:
+            load_lexicon("sofa\tnoun\r\nbroken\r\n")
+        assert str(err.value) == "line 2: expected 'token<TAB>tag', found 'broken'"
+
     def test_uppercase_token_rejected(self):
         with pytest.raises(LexiconError, match="lowercase"):
             load_lexicon("Sofa\tnoun\n")
