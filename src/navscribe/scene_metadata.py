@@ -297,11 +297,10 @@ _SECTION_OF = {"category": "categories", "region": "regions",
 def _indexed(kind: str, records, err):
     """(position, record) in order, each checked first for an index in
     range and not seen before."""
-    seen: set[int] = set()
+    n, seen = len(records), set()
     for pos, rec in enumerate(records):
-        if not 0 <= rec.index < len(records):
-            raise err(kind, pos, f"index {rec.index} out of range "
-                                 f"({len(records)} {_SECTION_OF[kind]})")
+        if not 0 <= rec.index < n:
+            raise err(kind, pos, f"index {rec.index} out of range ({n} {_SECTION_OF[kind]})")
         if rec.index in seen:
             raise err(kind, pos, f"duplicate index {rec.index}")
         seen.add(rec.index)
