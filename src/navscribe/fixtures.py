@@ -392,9 +392,11 @@ O 2 -1 0 3.900000 -0.800000 0.500000 0.000000 1.000000 0.000000 1.000000 0.00000
 
 
 def _mutate_line(text: str, line_no: int, fn) -> str:
-    lines = text.splitlines()
+    """``text`` with line ``line_no`` replaced by ``fn`` of it. Lines end at
+    LF only, as ``numbered_lines`` numbers them."""
+    lines = text.split("\n")
     lines[line_no - 1] = fn(lines[line_no - 1])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def _set_token(line: str, position: int, value: str) -> str:

@@ -26,6 +26,18 @@ checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
 declare), each returning its converted value; a failed check raises
 ``JsonSchemaError`` naming a ``json_path`` such as ``$[3].heading``, built
 only as the failure unwinds.
+
+Reading checks first and locates only on failure. The checks here also
+carry a bulk form, their ``bulk`` attribute, which takes a whole list of
+values at C level: exact-type scalars with one ``set(map(type, ...))`` test (so true is
+no integer), numbers when all are finite floats, with one
+``math.isfinite`` sweep, arrays and ``vec3`` values as one run of their
+items, and records column by column, built positionally at the end.
+``array`` tries its item's bulk form on the whole array first. The form
+refuses with None on any fault, and on any value that only the per-item
+check accepts, such as an integer where a number goes; ``array`` then maps
+the per-item check, which raises the located error. A bulk form only has to
+be sound: what it accepts, the per-item check accepts with the same result.
 """
 from __future__ import annotations
 
@@ -33,8 +45,8 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator
 
 Check = Callable[[Any], Any]
@@ -112,6 +124,11 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
     if not names:
         return None
     inner = nl + "  "
+    try:  # the first record alone refuses most lists before any column is mapped
+        if any(_column([getattr(records[0], name)], inner, float_fmt) is None for name in names):
+            return None
+    except AttributeError:
+        return None
     columns = []
     for name in names:
         try:
@@ -186,6 +203,36 @@ def load(text: str, schema: Check) -> Any:
         raise
 
 
+def _bulk(form: Callable[[list], list | None], values: list) -> list | None:
+    """What a bulk form makes of a whole list: every item checked and
+    converted, in order, or None where it refuses, so that the per-item
+    checks run and locate the error. The one place where bulk forms are
+    tried; the differential tests make it always refuse."""
+    return form(values)
+
+
+class _Items:
+    """The items of a list of arrays, in order, without a copy. Bulk forms
+    only iterate over what they check, so they take it as a list."""
+
+    __slots__ = ("arrays",)
+
+    def __init__(self, arrays: list) -> None:
+        self.arrays = arrays
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self.arrays)
+
+
+def _of_type(kind: type) -> Callable[[list], list | None]:
+    """The bulk form of a check that returns values of exactly ``kind``."""
+
+    def bulk(values: list) -> list | None:
+        return values if set(map(type, values)) <= {kind} else None
+
+    return bulk
+
+
 def integer(value: Any) -> int:
     if type(value) is not int:  # true and false are not integers
         raise _expected("an integer", value)
@@ -204,6 +251,10 @@ def boolean(value: Any) -> bool:
     return value
 
 
+integer.bulk = _of_type(int)
+string.bulk = _of_type(str)
+boolean.bulk = _of_type(bool)
+
 # A JSON number x is finite as a float exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX;
 # NaN, the infinities and integers that float() overflows on all fail it.
 _FLOAT_MAX = sys.float_info.max
@@ -219,15 +270,33 @@ def number(value: Any) -> float:
     return float(value)
 
 
+def _finite_floats(values: list) -> list | None:
+    # Exact floats only: an int goes item by item, as math.isfinite would
+    # overflow on a huge one.
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return values
+    return None
+
+
+number.bulk = _finite_floats
+
+
 def array(item: Check, min_len: int = 0) -> Check:
-    """An array of at least ``min_len`` values, each checked by ``item``, as a tuple."""
+    """An array of at least ``min_len`` values, each checked by ``item``, as a
+    tuple. When ``item`` has a bulk form, the whole array goes through it
+    first, and item by item only if it refuses."""
+    item_bulk = getattr(item, "bulk", None)
 
     def check(value: Any) -> tuple:
         if type(value) is not list:
             raise _expected("an array", value)
         if len(value) < min_len:
             raise JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}", "")
-        out: list = []
+        if item_bulk is not None:
+            out = _bulk(item_bulk, value)
+            if out is not None:
+                return tuple(out)
+        out = []
         try:
             out.extend(map(item, value))  # keeps the items checked before a failure
         except JsonSchemaError as exc:
@@ -235,6 +304,21 @@ def array(item: Check, min_len: int = 0) -> Check:
             raise
         return tuple(out)
 
+    def bulk(values: list) -> list | None:
+        """A list of arrays checked as one run of items."""
+        if not set(map(type, values)) <= {list} or min(map(len, values), default=min_len) < min_len:
+            return None
+        flat = _Items(values)
+        items = item_bulk(flat)
+        if items is None:
+            return None
+        if items is flat:  # the items are the values themselves
+            return list(map(tuple, values))
+        rest = iter(items)
+        return [tuple(islice(rest, n)) for n in map(len, values)]
+
+    if item_bulk is not None:
+        check.bulk = bulk
     return check
 
 
@@ -254,10 +338,22 @@ def vec3(value: Any) -> tuple[float, float, float]:
     return _numbers(value)
 
 
+def _vec3s(values: list) -> list | None:
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {3}:
+        items = _Items(values)
+        if _finite_floats(items) is items:
+            return list(map(tuple, values))
+    return None
+
+
+vec3.bulk = _vec3s
+
+
 def record(build: Callable[..., Any], **fields: Check) -> Check:
     """An object with exactly the keys of ``fields``, returned as ``build``
-    called with each checked field. A ValueError from ``build``, which holds
-    the rules across fields, fails the check at the object itself."""
+    called with each checked field, positionally in the order given. A
+    ValueError from ``build``, which holds the rules across fields, fails the
+    check at the object itself."""
     return _record(build, fields, closed=True)
 
 
@@ -276,16 +372,40 @@ def _record(build: Callable[..., Any], fields: dict[str, Check], closed: bool) -
                 problem = "missing" if missing else "unexpected"
                 key = (missing or [key for key in value if key not in fields])[0]
                 raise JsonSchemaError(f"{problem} key {key!r}", "")
-        checked = {}
+        checked = []
         for name, field in fields.items():
             try:
-                checked[name] = field(value[name])
+                checked.append(field(value[name]))
             except JsonSchemaError as exc:
                 exc.json_path = f".{name}{exc.json_path}"
                 raise
         try:
-            return build(**checked)
+            return build(*checked)
         except ValueError as exc:
             raise JsonSchemaError(str(exc), "") from None
 
+    forms = [getattr(field, "bulk", None) for field in fields.values()]
+
+    def bulk(values: list) -> list | None:
+        """A list of objects checked column by column, then built in order.
+        A missing key, and in a closed record any other key count, refuses,
+        and so does a ValueError from ``build``: the failing object is then
+        located item by item."""
+        if not set(map(type, values)) <= {dict}:
+            return None
+        if closed and not set(map(len, values)) <= {len(fields)}:
+            return None
+        columns = []
+        try:
+            for name, form in zip(fields, forms):
+                column = form(list(map(itemgetter(name), values)))
+                if column is None:
+                    return None
+                columns.append(column)
+            return list(map(build, *columns))
+        except (KeyError, ValueError):
+            return None
+
+    if fields and None not in forms:
+        check.bulk = bulk
     return check

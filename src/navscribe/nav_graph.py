@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from . import jsonio
 from .rng import SplitMix64
@@ -152,25 +153,27 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
             raise ConnectivityError(f"expected {n} entries, found {len(row)}",
                                     f"$[{i}].unobstructed")
 
+    # Each pair (i, j), i < j, of included viewpoints with a true cell either
+    # way, found from the true cells alone; taken in (i, j) order, which sets
+    # the edge order and which bad edge is reported first.
+    included = [viewpoint.included for viewpoint in viewpoints]
+    pairs = set()
+    for i in compress(range(n), included):
+        for j in compress(range(n), unobstructed[i]):
+            if included[j] and i != j:
+                pairs.add((i, j) if i < j else (j, i))
     edges: dict[tuple[str, str], float] = {}
-    for i in range(n):
-        if not viewpoints[i].included:
-            continue
-        for j in range(i + 1, n):
-            if not viewpoints[j].included:
-                continue
-            if not (unobstructed[i][j] or unobstructed[j][i]):
-                continue
-            pa, pb = viewpoints[i].position, viewpoints[j].position
-            length = math.dist(pa, pb)  # finite points can still be infinitely far apart
-            if not 0.0 < length < math.inf:
-                raise ConnectivityError(
-                    f"{'zero' if length <= 0.0 else 'infinite'}-length edge between "
-                    f"{viewpoints[i].id!r} and {viewpoints[j].id!r}", f"$[{i}]"
-                )
-            a, b = viewpoints[i].id, viewpoints[j].id
-            key = (a, b) if a <= b else (b, a)
-            edges[key] = length
+    for i, j in sorted(pairs):
+        pa, pb = viewpoints[i].position, viewpoints[j].position
+        length = math.dist(pa, pb)  # finite points can still be infinitely far apart
+        if not 0.0 < length < math.inf:
+            raise ConnectivityError(
+                f"{'zero' if length <= 0.0 else 'infinite'}-length edge between "
+                f"{viewpoints[i].id!r} and {viewpoints[j].id!r}", f"$[{i}]"
+            )
+        a, b = viewpoints[i].id, viewpoints[j].id
+        key = (a, b) if a <= b else (b, a)
+        edges[key] = length
     return NavGraph(scan_id, viewpoints, edges)
 
 
@@ -318,7 +321,7 @@ def paths_to_json(result: SampleResult) -> str:
 
 
 _PATHS_SCHEMA = jsonio.record(
-    SampleResult,
+    lambda shortfall, paths: SampleResult(paths, shortfall),
     shortfall=jsonio.integer,
     paths=jsonio.array(jsonio.record(
         lambda scan, path, heading, distance: PathSpec(scan, path, heading, distance),

@@ -12,6 +12,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .nav_graph import NavGraph
 from .scene_metadata import Panorama, SceneModel, category_name
@@ -154,17 +155,22 @@ class Scan:
 
     def _build_grid(self) -> None:
         cfg = self.cfg
-        extent = max((abs(v) for o in self.scene.objects for v in o.center), default=0.0)
+        centers = itertools.chain.from_iterable(map(attrgetter("center"), self.scene.objects))
+        extent = max(map(abs, centers), default=0.0)
         self._edge = edge = (cfg.max_distance * (1.0 + 1e-9)
                              + 4.0 * sys.float_info.epsilon * (cfg.max_distance + extent))
         # No object is in range of a coordinate beyond this, and cell keys of
         # coordinates within it cannot overflow.
         self._reach = extent + 2.0 * edge
         self._grid = grid = {}
+        # category_name's text of each category, at the position where
+        # category_name looks it up.
+        names = [" ".join(category.name.split()) for category in self.scene.categories]
         for obj in self.scene.objects:
-            name = category_name(self.scene, obj.index)
+            name = names[obj.category_index]
             area = projected_area(obj.radii)
-            key = tuple(math.floor(v / edge) for v in obj.center)
+            x, y, z = obj.center
+            key = (math.floor(x / edge), math.floor(y / edge), math.floor(z / edge))
             grid.setdefault(key, []).append(
                 (obj.center, obj.index, name, area,
                  area >= cfg.min_area and name not in cfg.blacklist))

@@ -10,11 +10,22 @@ Padding tokens must be the literal ``0``. Multiword names are stored with
 underscores and come back with single spaces. Record counts must match the
 header and every cross index must resolve; violating files are rejected, not
 repaired. Parsing ignores record order: lists come back sorted by index.
+
+Both readers check first and locate only on failure. ``parse_house`` splits
+the lines and sorts them by kind, then converts each kind's records in
+batches, column by column, with ``int`` and ``float`` over precomputed token
+positions, one padding comparison and one ``math.isfinite`` sweep.
+``_validate_records`` first checks the whole scene with set, min and max
+sweeps. Only when a bulk step refuses do the line-by-line reader and the
+record-by-record checks run; they raise the error with its line number or
+JSON path, so no message depends on which path saw the fault first.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import attrgetter, le
 
 from . import jsonio
 from .jsonio import JsonSchemaError as SceneJsonError  # the scene reader's name for it
@@ -111,15 +122,16 @@ class SceneModel:
 # ---------------------------------------------------------------------------
 
 
-def _header(scan_id: str, label: str, **counts: int) -> tuple[str, dict[str, int]]:
-    """The scan name and the record counts the H line declares, in token order."""
-    if min(counts.values()) < 0:
-        raise ValueError("negative count")
-    return scan_id, counts
-
-
-# The record kind letter each declared count is checked against.
+# The record kind letter each declared count is checked against, in the
+# order of the H line's counts.
 _KIND_OF = {"panorama": "P", "object": "O", "category": "C", "region": "R", "level": "L"}
+
+
+def _header(scan_id: str, label: str, *counts: int) -> tuple[str, dict[str, int]]:
+    """The scan name and the record counts the H line declares, by name."""
+    if min(counts) < 0:
+        raise ValueError("negative count")
+    return scan_id, dict(zip(_KIND_OF, counts))
 
 
 # Converters: (tokens, start, name used in errors) -> value. A ValueError
@@ -177,45 +189,42 @@ def _compile(build, *layout):
             at += 1
         else:
             fields.append((*entry, at))
-            at += 3 if entry[2] is _xyz else 1
+            at += 3 if entry[1] is _xyz else 1
     return build, at, tuple(padding), tuple(fields)
 
 
 # Each record kind's builder, then its tokens after the kind letter in
 # order: a literal 0 is one padding token that must read "0", a field is
-# (builder parameter, name used in errors, converter). L records are
-# checked and counted; the scene model keeps no levels.
+# (name used in errors, converter) and is passed to the builder in this
+# order. L records are checked and counted; the scene model keeps no levels.
 _LAYOUTS = {
     "H": _compile(
-        _header, ("scan_id", "name", _raw), ("label", "label", _raw), 0,
-        ("panorama", "panorama count", _integer), 0, 0, 0,
-        ("object", "object count", _integer), ("category", "category count", _integer),
-        ("region", "region count", _integer), 0, ("level", "level count", _integer),
-        0, 0, 0, 0, 0),
+        _header, ("name", _raw), ("label", _raw), 0, ("panorama count", _integer), 0, 0, 0,
+        ("object count", _integer), ("category count", _integer), ("region count", _integer),
+        0, ("level count", _integer), 0, 0, 0, 0, 0),
     "L": _compile(
-        dict, ("index", "level index", _integer), ("regions", "region count", _integer),
-        ("label", "label", _raw), ("position", "position", _xyz),
-        ("bbox_lo", "bbox low", _xyz), ("bbox_hi", "bbox high", _xyz), 0, 0, 0, 0, 0),
+        lambda *fields: fields, ("level index", _integer), ("region count", _integer),
+        ("label", _raw), ("position", _xyz), ("bbox low", _xyz), ("bbox high", _xyz),
+        0, 0, 0, 0, 0),
     "R": _compile(
-        Region, ("index", "region index", _integer), ("level_index", "level index", _integer),
-        0, 0, ("label", "label", _char), ("position", "position", _xyz),
-        ("bbox_lo", "bbox low", _xyz), ("bbox_hi", "bbox high", _xyz), 0, 0, 0, 0, 0),
+        Region, ("region index", _integer), ("level index", _integer), 0, 0,
+        ("label", _char), ("position", _xyz), ("bbox low", _xyz), ("bbox high", _xyz),
+        0, 0, 0, 0, 0),
     "C": _compile(
-        Category, ("index", "category index", _integer),
-        ("mapping_index", "mapping index", _integer), ("name", "name", _lower_name),
-        ("mpcat40_index", "mpcat40 index", _integer), ("mpcat40_name", "name", _name),
-        0, 0, 0, 0, 0),
+        Category, ("category index", _integer), ("mapping index", _integer),
+        ("name", _lower_name), ("mpcat40 index", _integer), ("name", _name), 0, 0, 0, 0, 0),
     "P": _compile(
-        Panorama, ("name", "name", _raw), ("index", "panorama index", _integer),
-        ("region_index", "region index", _integer), 0, ("position", "position", _xyz),
-        0, 0, 0, 0, 0),
+        Panorama, ("name", _raw), ("panorama index", _integer), ("region index", _integer), 0,
+        ("position", _xyz), 0, 0, 0, 0, 0),
     "O": _compile(
-        SceneObject, ("index", "object index", _integer),
-        ("region_index", "region index", _integer),
-        ("category_index", "category index", _integer), ("center", "center", _xyz),
-        ("axis0", "axis0", _xyz), ("axis1", "axis1", _xyz), ("radii", "radii", _xyz),
-        0, 0, 0, 0, 0, 0, 0, 0),
+        SceneObject, ("object index", _integer), ("region index", _integer),
+        ("category index", _integer), ("center", _xyz), ("axis0", _xyz), ("axis1", _xyz),
+        ("radii", _xyz), 0, 0, 0, 0, 0, 0, 0, 0),
 }
+
+# Records of one kind converted together at most; a bound on the token
+# lists held at once.
+_BATCH = 128
 
 
 def parse_house(text: str) -> SceneModel:
@@ -225,13 +234,37 @@ def parse_house(text: str) -> SceneModel:
     lines, dangling cross indices and geometric invariant violations; a
     count that disagrees with the header names the H line.
     """
-    numbered: dict[str, list] = {kind: [] for kind in _LAYOUTS}  # kind -> [(line, record)]
+    records, lines = _records_in_bulk(text) or _records_located(text)
+    [(scan_id, counts)] = records["H"]
+    for what, declared in counts.items():
+        found = len(records[_KIND_OF[what]])
+        if declared != found:
+            raise HouseParseError(
+                f"{what} count mismatch: header declares {declared}, found {found}", lines["H"][0]
+            )
+
+    sections = [records[kind] for kind in "CROP"]
+    _validate_records(
+        *sections,
+        counts["level"],
+        lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}",
+                                               lines[_KIND_OF[kind]][pos]),
+    )
+
+    return _index_sorted(SceneModel(scan_id, *sections))
+
+
+def _records_located(text: str) -> tuple[dict[str, list], dict[str, list[int]]]:
+    """The records of each kind and the line of each, converted line by
+    line; the first malformed line raises its HouseParseError."""
+    records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
+    lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
     for line_no, raw in numbered_lines(text):
         tokens = raw.split()
         if not tokens:
             continue
         kind = tokens[0]
-        if not numbered["H"] and kind != "H":
+        if not records["H"] and kind != "H":
             raise HouseParseError("expected the H header record first", line_no)
         if kind not in _LAYOUTS:
             raise HouseParseError(f"unknown record type {kind!r}", line_no)
@@ -240,45 +273,96 @@ def parse_house(text: str) -> SceneModel:
             raise HouseParseError(
                 f"{kind} record: expected {n_tokens} tokens, found {len(tokens)}", line_no
             )
-        if kind == "H" and numbered["H"]:
+        if kind == "H" and records["H"]:
             raise HouseParseError("duplicate H header record", line_no)
         try:  # padding first, then the fields in token order
             for at in padding:
                 if tokens[at] != "0":
                     raise ValueError(
                         f"expected literal '0' padding at token {at}, found {tokens[at]!r}")
-            record = build(**{param: convert(tokens, at, what)
-                              for param, what, convert, at in fields})
+            record = build(*[convert(tokens, at, what) for what, convert, at in fields])
         except ValueError as exc:
             raise HouseParseError(f"{kind} record: {exc}", line_no) from None
-        numbered[kind].append((line_no, record))
+        records[kind].append(record)
+        lines[kind].append(line_no)
 
-    if not numbered["H"]:
+    if not records["H"]:
         raise HouseParseError("empty document: missing H header record", 1)
+    return records, lines
 
-    [(header_line, (scan_id, counts))] = numbered["H"]
-    for what, declared in counts.items():
-        found = len(numbered[_KIND_OF[what]])
-        if declared != found:
-            raise HouseParseError(
-                f"{what} count mismatch: header declares {declared}, found {found}", header_line
-            )
 
-    sections = [[r for _, r in numbered[kind]] for kind in "CROP"]
-    _validate_records(
-        *sections,
-        counts["level"],
-        lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}",
-                                               numbered[_KIND_OF[kind]][pos][0]),
-    )
+def _records_in_bulk(text: str) -> tuple[dict[str, list], dict[str, list[int]]] | None:
+    """As ``_records_located``, for a text in which every line is well
+    formed; None otherwise, without saying where. Lines are only split and
+    sorted by kind here; ``_convert`` checks and converts each kind's lines
+    in batches."""
+    rows: dict[str, list[list[str]]] = {kind: [] for kind in _LAYOUTS}
+    records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
+    lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
+    # str.split drops the carriage return numbered_lines strips, so tokens
+    # and line numbers are those of numbered_lines.
+    for line_no, tokens in enumerate(map(str.split, text.split("\n")), start=1):
+        if not tokens:
+            continue
+        kind = tokens[0]
+        layout = _LAYOUTS.get(kind)
+        if layout is None or len(tokens) != layout[1]:
+            return None
+        pending = rows[kind]
+        pending.append(tokens)
+        lines[kind].append(line_no)
+        if len(pending) == _BATCH:
+            if not _convert(layout, pending, records[kind]):
+                return None
+            pending.clear()
+    for kind, pending in rows.items():
+        if pending and not _convert(_LAYOUTS[kind], pending, records[kind]):
+            return None
+    # One H record, on the first line that holds a record.
+    if len(lines["H"]) != 1 or lines["H"][0] != min(found[0] for found in lines.values() if found):
+        return None
+    return records, lines
 
-    return _index_sorted(SceneModel(scan_id, *sections))
+
+def _convert(layout: tuple, rows: list[list[str]], out: list) -> bool:
+    """Append the records of ``rows``, token lists of one kind and length,
+    to ``out``, if every padding token reads "0" and every field converts;
+    False otherwise. Columns of tokens go through ``int`` and ``float``, the
+    builtins ``_integer`` and ``_finite`` call, and one ``math.isfinite``
+    sweep, so the same tokens pass."""
+    build, _, padding, fields = layout
+    columns = list(zip(*rows))
+    zeros = ("0",) * len(rows)
+    if any(columns[at] != zeros for at in padding):
+        return False
+    values, floats = [], []
+    try:
+        for what, convert, at in fields:
+            if convert is _integer:
+                values.append(map(int, columns[at]))
+            elif convert is _xyz:
+                xyz = [list(map(float, columns[at + k])) for k in range(3)]
+                floats += xyz
+                values.append(zip(*xyz))
+            elif convert is _raw:
+                values.append(columns[at])
+            else:  # names and labels, of the few C and R records: one call each
+                values.append([convert(tokens, at, what) for tokens in rows])
+        if not all(map(math.isfinite, chain.from_iterable(floats))):
+            return False
+        out.extend(map(build, *values))
+    except ValueError:
+        return False
+    return True
 
 
 def _index_sorted(scene: SceneModel) -> SceneModel:
     """The same scene with each record list a tuple sorted by index."""
     sections = (scene.categories, scene.regions, scene.objects, scene.panoramas)
-    return SceneModel(scene.scan_id, *(tuple(sorted(s, key=lambda r: r.index)) for s in sections))
+    return SceneModel(scene.scan_id, *(tuple(sorted(s, key=_INDEX)) for s in sections))
+
+
+_INDEX = attrgetter("index")
 
 
 def _norm(v: Vec3) -> float:
@@ -313,8 +397,11 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
     ``err(kind, position, message)`` must build the exception to raise, so
     each caller can attach its own location info (line number or JSON path).
     ``n_levels`` of None skips the level cross-index upper bound (the JSON
-    schema does not carry levels).
+    schema does not carry levels). ``_all_valid`` checks the whole scene
+    first; the loops below run, and find the first fault, only if it refuses.
     """
+    if _all_valid(categories, regions, objects, panoramas, n_levels):
+        return
     n_categories, n_regions = len(categories), len(regions)
 
     for pos, cat in _indexed("category", categories, err):
@@ -352,6 +439,54 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
             raise err("object", pos, "axis0 and axis1 are not orthogonal")
         if any(r < 0.0 for r in obj.radii):
             raise err("object", pos, f"negative radius in {obj.radii}")
+
+
+# How far inside AXIS_TOL ``_all_valid`` keeps axis norms, which it computes
+# with math.hypot instead of ``_norm``. Near unit length the two differ by a
+# few ulps of 1, far less than this, so only a borderline axis goes to the
+# exact loop.
+_AXIS_MARGIN = 1e-9
+_UNPARSEABLE_PREFIXES = ("left of the ", "right of the ")
+
+
+def _within(values, lo: float, hi: float) -> bool:
+    return not values or (lo <= min(values) and max(values) <= hi)
+
+
+def _all_valid(categories, regions, objects, panoramas, n_levels) -> bool:
+    """Whether ``_validate_records`` finds no fault, decided by C-level set,
+    min and max sweeps over whole record lists. False only says that the
+    located loops must look."""
+    for records in (categories, regions, objects, panoramas):
+        indices = set(map(_INDEX, records))
+        if len(indices) != len(records) or not _within(indices, 0, len(records) - 1):
+            return False
+    names = list(map(attrgetter("name"), categories))
+    if (not all(map(str.strip, names)) or ". " in "\n".join(names)
+            or any(map(str.startswith, names, repeat(_UNPARSEABLE_PREFIXES)))):
+        return False
+    n_regions = len(regions)
+    if not _within(list(map(attrgetter("level_index"), regions)), 0,
+                   math.inf if n_levels is None else n_levels - 1):
+        return False
+    lows = chain.from_iterable(map(attrgetter("bbox_lo"), regions))
+    highs = chain.from_iterable(map(attrgetter("bbox_hi"), regions))
+    if not all(map(le, lows, highs)):
+        return False
+    if (len(set(map(attrgetter("name"), panoramas))) != len(panoramas)
+            or not _within(list(map(attrgetter("region_index"), panoramas)), -1, n_regions - 1)
+            or not _within(list(map(attrgetter("region_index"), objects)), -1, n_regions - 1)
+            or not _within(list(map(attrgetter("category_index"), objects)),
+                           0, len(categories) - 1)):
+        return False
+    axes0 = list(map(attrgetter("axis0"), objects))
+    axes1 = list(map(attrgetter("axis1"), objects))
+    if not _within(list(starmap(math.hypot, chain(axes0, axes1))),
+                   1.0 - AXIS_TOL + _AXIS_MARGIN, 1.0 + AXIS_TOL - _AXIS_MARGIN):
+        return False
+    radii = list(chain.from_iterable(map(attrgetter("radii"), objects)))
+    return (_within(list(map(abs, map(_dot, axes0, axes1))), 0.0, AXIS_TOL)
+            and _within(radii, 0.0, math.inf))
 
 
 # ---------------------------------------------------------------------------

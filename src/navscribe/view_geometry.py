@@ -94,7 +94,8 @@ def projected_area(radii: Sequence[float]) -> float:
     """Face area spanned by the two largest half-extents of a box."""
     if len(radii) != 3:
         raise ValueError(f"expected 3 radii, got {len(radii)}")
-    if any(r < 0.0 for r in radii):
+    x, y, z = radii
+    if x < 0.0 or y < 0.0 or z < 0.0:
         raise ValueError(f"radii must be non-negative, got {tuple(radii)}")
     a, b = sorted(radii)[1:]
     return 4.0 * a * b

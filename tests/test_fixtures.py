@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from navscribe import fixtures
 from navscribe.fixtures import all_scenes, write_scene_files
 from navscribe.instruction_crafter import Motion, classify_vertical
 from navscribe.nav_graph import parse_connectivity
@@ -154,3 +155,12 @@ class TestWriteSceneFiles:
             conn = (tmp_path / f"{fx.name}_connectivity.json").read_text("utf-8")
             assert house == fx.house_text
             assert conn == fx.connectivity_text
+
+
+def test_mutate_line_counts_lines_at_newline_only():
+    # str.splitlines would also break at the U+0085 ending line 2, edit the
+    # line above the one asked for and drop the U+0085.
+    lines = fixtures.TINY_HOUSE.split("\n")
+    lines[1] += "\x85"
+    edited = fixtures._mutate_line("\n".join(lines), 12, lambda line: line + " 7")
+    assert edited.split("\n") == lines[:11] + [lines[11] + " 7"] + lines[12:]
