@@ -23,21 +23,16 @@ types and document order.
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
 ``vec3``, and ``record`` or ``open_record``, which ignores keys it does not
-declare), each returning its converted value; a failed check raises
-``JsonSchemaError`` naming a ``json_path`` such as ``$[3].heading``, built
-only as the failure unwinds.
-
-Reading checks first and locates only on failure. The checks here also
-carry a bulk form, their ``bulk`` attribute, which takes a whole list of
-values at C level: exact-type scalars with one ``set(map(type, ...))`` test (so true is
-no integer), numbers when all are finite floats, with one
-``math.isfinite`` sweep, arrays and ``vec3`` values as one run of their
-items, and records column by column, built positionally at the end.
-``array`` tries its item's bulk form on the whole array first. The form
-refuses with None on any fault, and on any value that only the per-item
-check accepts, such as an integer where a number goes; ``array`` then maps
-the per-item check, which raises the located error. A bulk form only has to
-be sound: what it accepts, the per-item check accepts with the same result.
+declare). A check takes the list of values found at one place in every item
+of an array, at the top level just the document, and returns them
+converted. It tests the whole list at C level: exact-type scalars with one
+``set(map(type, ...))`` test (so true is no integer), numbers when all are
+finite floats, arrays and ``vec3`` values as one run of all their items,
+records column by column in schema order, built at the end. Only where that
+test refuses does a check walk the list one value at a time. It raises the
+first fault in document order, so inside one object the earlier field in
+the schema wins, as a ``JsonSchemaError`` naming a ``json_path`` such as
+``$[3].heading``, built only as the error unwinds.
 """
 from __future__ import annotations
 
@@ -45,11 +40,12 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import chain, islice, repeat
+from bisect import bisect_right
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-Check = Callable[[Any], Any]
+Check = Callable[[Iterable], Iterable]
 
 _quote = json.encoder.encode_basestring  # where json.dumps(s, ensure_ascii=False) ends
 
@@ -182,8 +178,14 @@ _KIND = {type(None): "null", bool: "boolean", int: "integer", float: "number",
          str: "string", list: "array", dict: "object"}
 
 
-# A check raises its error with an empty path; each enclosing check prepends
-# its own segment as the error unwinds, and ``load`` prepends the root.
+# A check's error carries the position of its value in ``_at`` and a path
+# relative to that value. Each enclosing check turns the position into its
+# own segment as the error unwinds, and ``load`` prepends the root.
+def _at(position: int, exc: JsonSchemaError) -> JsonSchemaError:
+    exc._at = position
+    return exc
+
+
 def _expected(what: str, value: Any) -> JsonSchemaError:
     return JsonSchemaError(f"expected {what}, found {_KIND[type(value)]}", "")
 
@@ -197,23 +199,114 @@ def load(text: str, schema: Check) -> Any:
     except RecursionError:
         raise JsonSchemaError("invalid JSON: nested too deeply") from None
     try:
-        return schema(doc)
+        return schema([doc])[0]
     except JsonSchemaError as exc:
         exc.json_path = "$" + exc.json_path
         raise
 
 
-def _bulk(form: Callable[[list], list | None], values: list) -> list | None:
-    """What a bulk form makes of a whole list: every item checked and
-    converted, in order, or None where it refuses, so that the per-item
-    checks run and locate the error. The one place where bulk forms are
-    tried; the differential tests make it always refuse."""
-    return form(values)
+def _exact(kind: type, what: str) -> Check:
+    """The check of values of exactly ``kind``, returned as they are."""
+
+    def check(values: Iterable) -> Iterable:
+        if set(map(type, values)) <= {kind}:
+            return values
+        position, value = next((at, value) for at, value in enumerate(values)
+                               if type(value) is not kind)
+        raise _at(position, _expected(what, value))
+
+    return check
+
+
+integer = _exact(int, "an integer")  # true and false are not integers
+string = _exact(str, "a string")
+boolean = _exact(bool, "a boolean")
+
+# A JSON number x is finite as a float exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX;
+# NaN, the infinities and integers that float() overflows on all fail it.
+_FLOAT_MAX = sys.float_info.max
+
+
+def number(values: Iterable) -> Iterable:
+    """Finite numbers, as floats."""
+    # Exact floats only: an int goes value by value, as math.isfinite would
+    # overflow on a huge one.
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return values
+    out = []
+    for position, value in enumerate(values):
+        if type(value) is not float and type(value) is not int:
+            raise _at(position, _expected("a number", value))
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            found = value if type(value) is float else "an integer out of range"
+            raise _at(position, JsonSchemaError(f"expected a finite number, found {found}", ""))
+        out.append(float(value))
+    return out
+
+
+def _misfits(values: Iterable, misfit: Callable[[Any], JsonSchemaError | None]
+             ) -> tuple[Iterable, JsonSchemaError | None]:
+    """The values before the first one that ``misfit`` finds at fault, and
+    that fault; all values and None if there is none."""
+    for position, value in enumerate(values):
+        fault = misfit(value)
+        if fault is not None:
+            return list(islice(values, position)), _at(position, fault)
+    return values, None
+
+
+def array(item: Check, min_len: int = 0) -> Check:
+    """Arrays of at least ``min_len`` values, each checked by ``item``, as tuples."""
+
+    def misfit(value: Any) -> JsonSchemaError | None:
+        if type(value) is not list:
+            return _expected("an array", value)
+        if len(value) < min_len:
+            return JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}", "")
+        return None
+
+    return lambda values: _arrays(values, item, min_len, math.inf, misfit)
+
+
+def _not_vec3(value: Any) -> JsonSchemaError | None:
+    if type(value) is not list or len(value) != 3:
+        return JsonSchemaError("expected an array of 3 numbers", "")
+    return None
+
+
+def vec3(values: Iterable) -> list:
+    """Exactly three finite numbers, as tuples of floats."""
+    return _arrays(values, number, 3, 3, _not_vec3)
+
+
+def _arrays(values: Iterable, item: Check, min_len: int, max_len: float,
+            misfit: Callable[[Any], JsonSchemaError | None]) -> list:
+    """``values``, arrays of ``min_len`` to ``max_len`` items, as tuples of
+    their items, which ``item`` checks as one run. Past the first value that
+    ``misfit`` refuses, nothing is checked; a fault in an earlier array's
+    items comes first."""
+    fault = None
+    if not set(map(type, values)) <= {list} or not _within(set(map(len, values)), min_len, max_len):
+        values, fault = _misfits(values, misfit)
+    flat = _Items(values)
+    try:
+        items = item(flat)
+    except JsonSchemaError as exc:  # from the run's index back to array and item
+        ends = list(accumulate(map(len, values)))
+        position = bisect_right(ends, exc._at)
+        exc.json_path = f"[{exc._at - (ends[position - 1] if position else 0)}]{exc.json_path}"
+        raise _at(position, exc) from None
+    if fault is not None:
+        raise fault
+    if items is flat:  # the items are the values themselves
+        return list(map(tuple, values))
+    rest = iter(items)
+    return [tuple(islice(rest, n)) for n in map(len, values)]
 
 
 class _Items:
-    """The items of a list of arrays, in order, without a copy. Bulk forms
-    only iterate over what they check, so they take it as a list."""
+    """The items of a list of arrays, in order, without a copy: what
+    ``_arrays`` passes its item check, which only iterates over it."""
 
     __slots__ = ("arrays",)
 
@@ -224,134 +317,14 @@ class _Items:
         return chain.from_iterable(self.arrays)
 
 
-def _of_type(kind: type) -> Callable[[list], list | None]:
-    """The bulk form of a check that returns values of exactly ``kind``."""
-
-    def bulk(values: list) -> list | None:
-        return values if set(map(type, values)) <= {kind} else None
-
-    return bulk
-
-
-def integer(value: Any) -> int:
-    if type(value) is not int:  # true and false are not integers
-        raise _expected("an integer", value)
-    return value
-
-
-def string(value: Any) -> str:
-    if type(value) is not str:
-        raise _expected("a string", value)
-    return value
-
-
-def boolean(value: Any) -> bool:
-    if type(value) is not bool:
-        raise _expected("a boolean", value)
-    return value
-
-
-integer.bulk = _of_type(int)
-string.bulk = _of_type(str)
-boolean.bulk = _of_type(bool)
-
-# A JSON number x is finite as a float exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX;
-# NaN, the infinities and integers that float() overflows on all fail it.
-_FLOAT_MAX = sys.float_info.max
-
-
-def number(value: Any) -> float:
-    """A finite number, as a float."""
-    if type(value) is not float and type(value) is not int:
-        raise _expected("a number", value)
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        found = value if type(value) is float else "an integer out of range"
-        raise JsonSchemaError(f"expected a finite number, found {found}", "")
-    return float(value)
-
-
-def _finite_floats(values: list) -> list | None:
-    # Exact floats only: an int goes item by item, as math.isfinite would
-    # overflow on a huge one.
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return values
-    return None
-
-
-number.bulk = _finite_floats
-
-
-def array(item: Check, min_len: int = 0) -> Check:
-    """An array of at least ``min_len`` values, each checked by ``item``, as a
-    tuple. When ``item`` has a bulk form, the whole array goes through it
-    first, and item by item only if it refuses."""
-    item_bulk = getattr(item, "bulk", None)
-
-    def check(value: Any) -> tuple:
-        if type(value) is not list:
-            raise _expected("an array", value)
-        if len(value) < min_len:
-            raise JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}", "")
-        if item_bulk is not None:
-            out = _bulk(item_bulk, value)
-            if out is not None:
-                return tuple(out)
-        out = []
-        try:
-            out.extend(map(item, value))  # keeps the items checked before a failure
-        except JsonSchemaError as exc:
-            exc.json_path = f"[{len(out)}]{exc.json_path}"
-            raise
-        return tuple(out)
-
-    def bulk(values: list) -> list | None:
-        """A list of arrays checked as one run of items."""
-        if not set(map(type, values)) <= {list} or min(map(len, values), default=min_len) < min_len:
-            return None
-        flat = _Items(values)
-        items = item_bulk(flat)
-        if items is None:
-            return None
-        if items is flat:  # the items are the values themselves
-            return list(map(tuple, values))
-        rest = iter(items)
-        return [tuple(islice(rest, n)) for n in map(len, values)]
-
-    if item_bulk is not None:
-        check.bulk = bulk
-    return check
-
-
-_numbers = array(number)
-
-
-def vec3(value: Any) -> tuple[float, float, float]:
-    """Exactly three finite numbers, as a tuple of floats."""
-    if type(value) is not list or len(value) != 3:
-        raise JsonSchemaError("expected an array of 3 numbers", "")
-    x, y, z = value
-    # Three finite floats, the common case, skip the per-item checks; ints
-    # and every error go through ``_numbers``.
-    if (type(x) is type(y) is type(z) is float and -_FLOAT_MAX <= x <= _FLOAT_MAX
-            and -_FLOAT_MAX <= y <= _FLOAT_MAX and -_FLOAT_MAX <= z <= _FLOAT_MAX):
-        return x, y, z
-    return _numbers(value)
-
-
-def _vec3s(values: list) -> list | None:
-    if set(map(type, values)) <= {list} and set(map(len, values)) <= {3}:
-        items = _Items(values)
-        if _finite_floats(items) is items:
-            return list(map(tuple, values))
-    return None
-
-
-vec3.bulk = _vec3s
+def _within(values, lo: float, hi: float) -> bool:
+    """Whether every one of ``values``, a list or a set, lies in [lo, hi]."""
+    return not values or (lo <= min(values) and max(values) <= hi)
 
 
 def record(build: Callable[..., Any], **fields: Check) -> Check:
-    """An object with exactly the keys of ``fields``, returned as ``build``
-    called with each checked field, positionally in the order given. A
+    """Objects with exactly the keys of ``fields``, each returned as ``build``
+    called with its checked fields, positionally in the order given. A
     ValueError from ``build``, which holds the rules across fields, fails the
     check at the object itself."""
     return _record(build, fields, closed=True)
@@ -363,49 +336,44 @@ def open_record(build: Callable[..., Any], **fields: Check) -> Check:
 
 
 def _record(build: Callable[..., Any], fields: dict[str, Check], closed: bool) -> Check:
-    def check(value: Any) -> Any:
+    def misfit(value: Any) -> JsonSchemaError | None:
         if type(value) is not dict:
-            raise _expected("an object", value)
+            return _expected("an object", value)
         if value.keys() != fields.keys():
             missing = [key for key in fields if key not in value]
             if missing or closed:
                 problem = "missing" if missing else "unexpected"
                 key = (missing or [key for key in value if key not in fields])[0]
-                raise JsonSchemaError(f"{problem} key {key!r}", "")
-        checked = []
-        for name, field in fields.items():
+                return JsonSchemaError(f"{problem} key {key!r}", "")
+        return None
+
+    def check(values: Iterable) -> list:
+        fault = None
+        try:
+            raw = [list(map(itemgetter(name), values)) for name in fields]
+        except (KeyError, TypeError):  # a value that is no object, or lacks a key
+            raw = None
+        if raw is None or closed and not set(map(len, values)) <= {len(fields)}:
+            values, fault = _misfits(values, misfit)
+            raw = [list(map(itemgetter(name), values)) for name in fields]
+        columns = []
+        for (name, field), column in zip(fields.items(), raw):
+            if fault is not None:  # only the objects before the earliest fault so far
+                column = column[:fault._at]
             try:
-                checked.append(field(value[name]))
+                columns.append(field(column))
             except JsonSchemaError as exc:
                 exc.json_path = f".{name}{exc.json_path}"
-                raise
+                fault = exc
+                columns.append(field(column[:exc._at]))  # the objects before it pass
+        out = []
         try:
-            return build(*checked)
+            # Up to the shortest column, the last; map needs one to build from.
+            out.extend(map(build, *columns) if columns else map(lambda _: build(), values))
         except ValueError as exc:
-            raise JsonSchemaError(str(exc), "") from None
+            fault = _at(len(out), JsonSchemaError(str(exc), ""))
+        if fault is not None:
+            raise fault
+        return out
 
-    forms = [getattr(field, "bulk", None) for field in fields.values()]
-
-    def bulk(values: list) -> list | None:
-        """A list of objects checked column by column, then built in order.
-        A missing key, and in a closed record any other key count, refuses,
-        and so does a ValueError from ``build``: the failing object is then
-        located item by item."""
-        if not set(map(type, values)) <= {dict}:
-            return None
-        if closed and not set(map(len, values)) <= {len(fields)}:
-            return None
-        columns = []
-        try:
-            for name, form in zip(fields, forms):
-                column = form(list(map(itemgetter(name), values)))
-                if column is None:
-                    return None
-                columns.append(column)
-            return list(map(build, *columns))
-        except (KeyError, ValueError):
-            return None
-
-    if fields and None not in forms:
-        check.bulk = bulk
     return check

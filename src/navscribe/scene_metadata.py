@@ -11,14 +11,17 @@ underscores and come back with single spaces. Record counts must match the
 header and every cross index must resolve; violating files are rejected, not
 repaired. Parsing ignores record order: lists come back sorted by index.
 
-Both readers check first and locate only on failure. ``parse_house`` splits
-the lines and sorts them by kind, then converts each kind's records in
-batches, column by column, with ``int`` and ``float`` over precomputed token
-positions, one padding comparison and one ``math.isfinite`` sweep.
-``_validate_records`` first checks the whole scene with set, min and max
-sweeps. Only when a bulk step refuses do the line-by-line reader and the
-record-by-record checks run; they raise the error with its line number or
-JSON path, so no message depends on which path saw the fault first.
+Both readers check first and locate only on failure. ``parse_house`` reads
+the lines in one loop that states the line rules once and collects each
+kind's records in batches. ``_convert`` converts a batch column by column,
+with ``int`` and ``float`` over precomputed token positions, one padding
+comparison and one ``math.isfinite`` sweep, and goes row by row with the
+converters only when that refuses. Reading stops at the first fault; the
+batches still pending are converted too, and the lowest faulty line is
+raised. ``_validate_records`` first checks the whole scene with set, min
+and max sweeps, and only when they refuse do the record-by-record checks
+run and raise the error with its line number or JSON path, so no message
+depends on which path saw the fault first.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from operator import attrgetter, le
 
 from . import jsonio
 from .jsonio import JsonSchemaError as SceneJsonError  # the scene reader's name for it
+from .jsonio import _within
 from .view_geometry import Vec3
 
 # Tolerances for oriented-box sanity: axis norms and their mutual dot product.
@@ -234,7 +238,45 @@ def parse_house(text: str) -> SceneModel:
     lines, dangling cross indices and geometric invariant violations; a
     count that disagrees with the header names the H line.
     """
-    records, lines = _records_in_bulk(text) or _records_located(text)
+    records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
+    lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
+    rows: dict[str, list[list[str]]] = {kind: [] for kind in _LAYOUTS}  # not yet converted
+    fault = None
+    # str.split drops the carriage return numbered_lines strips, so tokens
+    # and line numbers are those of numbered_lines.
+    for line_no, tokens in enumerate(map(str.split, text.split("\n")), start=1):
+        if not tokens:
+            continue
+        kind = tokens[0]
+        layout = _LAYOUTS.get(kind)
+        if not lines["H"] and kind != "H":
+            fault = HouseParseError("expected the H header record first", line_no)
+        elif layout is None:
+            fault = HouseParseError(f"unknown record type {kind!r}", line_no)
+        elif len(tokens) != layout[1]:
+            fault = HouseParseError(
+                f"{kind} record: expected {layout[1]} tokens, found {len(tokens)}", line_no)
+        elif kind == "H" and lines["H"]:
+            fault = HouseParseError("duplicate H header record", line_no)
+        else:
+            pending = rows[kind]
+            pending.append(tokens)
+            lines[kind].append(line_no)
+            if len(pending) < _BATCH:
+                continue
+            fault = _convert(kind, pending, lines[kind], records[kind])
+            pending.clear()
+        if fault is not None:
+            break
+    # The batches still pending hold only lines before any fault found.
+    faults = [_convert(kind, pending, lines[kind], records[kind])
+              for kind, pending in rows.items() if pending]
+    fault = min(filter(None, [fault, *faults]), key=attrgetter("line_number"), default=None)
+    if fault is not None:
+        raise fault
+    if not lines["H"]:
+        raise HouseParseError("empty document: missing H header record", 1)
+
     [(scan_id, counts)] = records["H"]
     for what, declared in counts.items():
         found = len(records[_KIND_OF[what]])
@@ -254,106 +296,45 @@ def parse_house(text: str) -> SceneModel:
     return _index_sorted(SceneModel(scan_id, *sections))
 
 
-def _records_located(text: str) -> tuple[dict[str, list], dict[str, list[int]]]:
-    """The records of each kind and the line of each, converted line by
-    line; the first malformed line raises its HouseParseError."""
-    records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
-    lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
-    for line_no, raw in numbered_lines(text):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        kind = tokens[0]
-        if not records["H"] and kind != "H":
-            raise HouseParseError("expected the H header record first", line_no)
-        if kind not in _LAYOUTS:
-            raise HouseParseError(f"unknown record type {kind!r}", line_no)
-        build, n_tokens, padding, fields = _LAYOUTS[kind]
-        if len(tokens) != n_tokens:
-            raise HouseParseError(
-                f"{kind} record: expected {n_tokens} tokens, found {len(tokens)}", line_no
-            )
-        if kind == "H" and records["H"]:
-            raise HouseParseError("duplicate H header record", line_no)
+def _convert(kind: str, rows: list[list[str]], lines: list[int],
+             out: list) -> HouseParseError | None:
+    """Append the records of ``rows``, token lists of ``kind`` whose line
+    numbers end ``lines``, to ``out``; the error of the first malformed one,
+    if any. Columns of tokens go through ``int`` and ``float``, the builtins
+    ``_integer`` and ``_finite`` call, and one ``math.isfinite`` sweep. Only
+    if that refuses are the rows converted one by one, to find the fault."""
+    build, _, padding, fields = _LAYOUTS[kind]
+    columns = list(zip(*rows))
+    zeros = ("0",) * len(rows)
+    values, floats = [], []
+    try:
+        if all(columns[at] == zeros for at in padding):
+            for what, convert, at in fields:
+                if convert is _integer:
+                    values.append(map(int, columns[at]))
+                elif convert is _xyz:
+                    xyz = [list(map(float, columns[at + k])) for k in range(3)]
+                    floats += xyz
+                    values.append(zip(*xyz))
+                elif convert is _raw:
+                    values.append(columns[at])
+                else:  # names and labels, of the few C and R records: one call each
+                    values.append([convert(tokens, at, what) for tokens in rows])
+            if all(map(math.isfinite, chain.from_iterable(floats))):
+                out += list(map(build, *values))  # all or none: a builder may refuse
+                return None
+    except ValueError:
+        pass
+    for tokens, line_no in zip(rows, lines[-len(rows):]):
         try:  # padding first, then the fields in token order
             for at in padding:
                 if tokens[at] != "0":
                     raise ValueError(
                         f"expected literal '0' padding at token {at}, found {tokens[at]!r}")
-            record = build(*[convert(tokens, at, what) for what, convert, at in fields])
+            out.append(build(*[convert(tokens, at, what) for what, convert, at in fields]))
         except ValueError as exc:
-            raise HouseParseError(f"{kind} record: {exc}", line_no) from None
-        records[kind].append(record)
-        lines[kind].append(line_no)
-
-    if not records["H"]:
-        raise HouseParseError("empty document: missing H header record", 1)
-    return records, lines
-
-
-def _records_in_bulk(text: str) -> tuple[dict[str, list], dict[str, list[int]]] | None:
-    """As ``_records_located``, for a text in which every line is well
-    formed; None otherwise, without saying where. Lines are only split and
-    sorted by kind here; ``_convert`` checks and converts each kind's lines
-    in batches."""
-    rows: dict[str, list[list[str]]] = {kind: [] for kind in _LAYOUTS}
-    records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
-    lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
-    # str.split drops the carriage return numbered_lines strips, so tokens
-    # and line numbers are those of numbered_lines.
-    for line_no, tokens in enumerate(map(str.split, text.split("\n")), start=1):
-        if not tokens:
-            continue
-        kind = tokens[0]
-        layout = _LAYOUTS.get(kind)
-        if layout is None or len(tokens) != layout[1]:
-            return None
-        pending = rows[kind]
-        pending.append(tokens)
-        lines[kind].append(line_no)
-        if len(pending) == _BATCH:
-            if not _convert(layout, pending, records[kind]):
-                return None
-            pending.clear()
-    for kind, pending in rows.items():
-        if pending and not _convert(_LAYOUTS[kind], pending, records[kind]):
-            return None
-    # One H record, on the first line that holds a record.
-    if len(lines["H"]) != 1 or lines["H"][0] != min(found[0] for found in lines.values() if found):
-        return None
-    return records, lines
-
-
-def _convert(layout: tuple, rows: list[list[str]], out: list) -> bool:
-    """Append the records of ``rows``, token lists of one kind and length,
-    to ``out``, if every padding token reads "0" and every field converts;
-    False otherwise. Columns of tokens go through ``int`` and ``float``, the
-    builtins ``_integer`` and ``_finite`` call, and one ``math.isfinite``
-    sweep, so the same tokens pass."""
-    build, _, padding, fields = layout
-    columns = list(zip(*rows))
-    zeros = ("0",) * len(rows)
-    if any(columns[at] != zeros for at in padding):
-        return False
-    values, floats = [], []
-    try:
-        for what, convert, at in fields:
-            if convert is _integer:
-                values.append(map(int, columns[at]))
-            elif convert is _xyz:
-                xyz = [list(map(float, columns[at + k])) for k in range(3)]
-                floats += xyz
-                values.append(zip(*xyz))
-            elif convert is _raw:
-                values.append(columns[at])
-            else:  # names and labels, of the few C and R records: one call each
-                values.append([convert(tokens, at, what) for tokens in rows])
-        if not all(map(math.isfinite, chain.from_iterable(floats))):
-            return False
-        out.extend(map(build, *values))
-    except ValueError:
-        return False
-    return True
+            return HouseParseError(f"{kind} record: {exc}", line_no)
+    return None
 
 
 def _index_sorted(scene: SceneModel) -> SceneModel:
@@ -447,10 +428,6 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
 # exact loop.
 _AXIS_MARGIN = 1e-9
 _UNPARSEABLE_PREFIXES = ("left of the ", "right of the ")
-
-
-def _within(values, lo: float, hi: float) -> bool:
-    return not values or (lo <= min(values) and max(values) <= hi)
 
 
 def _all_valid(categories, regions, objects, panoramas, n_levels) -> bool:

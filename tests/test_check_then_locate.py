@@ -1,41 +1,219 @@
-"""Check then locate: each reader equals its locating path.
+"""Check then locate: each reader equals an item-by-item oracle.
 
 ``parse_house``, ``read_scene_json``, ``parse_connectivity`` and the other
-JSON readers first check a whole document in bulk and walk it record by
-record, cell by cell or token by token only when the bulk check refuses.
-Each property here runs a reader twice on the same valid or mutated
-document: as it is, and with every bulk check made to refuse, so that only
-the locating path runs. Both runs must give the same model, or the same
-error type, message and location. Connectivity edges are also checked
-against an all-pairs enumeration.
+JSON readers check each list of values, lines or records as a whole in one
+pass, and walk it one value at a time only when that check refuses, to
+raise the first fault in document order. The oracles below are the readers
+as they were before that pass: a JSON checker that takes one value at a
+time and a ``.house`` reader that converts one line at a time. Each
+property runs a reader and its oracle on the same valid or mutated
+document; in the oracle run the whole-scene sweep of ``_validate_records``
+is also made to refuse, so that its record-by-record loops run. Both runs
+must give the same model, or the same error type, message and location.
+Connectivity edges are also checked against an all-pairs enumeration.
 """
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
+import sys
 from contextlib import ExitStack
+from types import SimpleNamespace
+from typing import Any
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navscribe import fixtures, jsonio, scene_metadata
+from navscribe import fixtures, jsonio, nav_graph, scene_metadata, supervision_export
+from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import (PathSpec, SampleResult, parse_connectivity, paths_from_json,
                                  paths_to_json)
-from navscribe.scene_metadata import parse_house, read_scene_json, write_scene_json
+from navscribe.scene_metadata import (_KIND_OF, _LAYOUTS, HouseParseError, SceneModel,
+                                      _index_sorted, _validate_records, numbered_lines,
+                                      parse_house, read_scene_json, write_scene_json)
 from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision, emit_r2r_json,
                                           emit_supervision_json, read_r2r_json,
                                           read_supervision_json)
 
+# ---------------------------------------------------------------------------
+# Oracle: the JSON schema checks, one value at a time
+# ---------------------------------------------------------------------------
 
-def _located_only():
-    """Patches that make every bulk check refuse."""
-    stack = ExitStack()
-    stack.enter_context(mock.patch.object(jsonio, "_bulk", lambda form, values: None))
-    stack.enter_context(mock.patch.object(scene_metadata, "_records_in_bulk", lambda text: None))
-    stack.enter_context(mock.patch.object(scene_metadata, "_all_valid", lambda *records: False))
-    return stack
+
+def _expected(what: str, value: Any) -> JsonSchemaError:
+    return JsonSchemaError(f"expected {what}, found {jsonio._KIND[type(value)]}", "")
+
+
+def _exactly(kind: type, what: str):
+    def check(value):
+        if type(value) is not kind:
+            raise _expected(what, value)
+        return value
+
+    return check
+
+
+def _number(value):
+    if type(value) is not float and type(value) is not int:
+        raise _expected("a number", value)
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        found = value if type(value) is float else "an integer out of range"
+        raise JsonSchemaError(f"expected a finite number, found {found}", "")
+    return float(value)
+
+
+def _array(item, min_len=0):
+    def check(value):
+        if type(value) is not list:
+            raise _expected("an array", value)
+        if len(value) < min_len:
+            raise JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}", "")
+        out = []
+        try:
+            out.extend(map(item, value))
+        except JsonSchemaError as exc:
+            exc.json_path = f"[{len(out)}]{exc.json_path}"
+            raise
+        return tuple(out)
+
+    return check
+
+
+_numbers = _array(_number)
+
+
+def _vec3(value):
+    if type(value) is not list or len(value) != 3:
+        raise JsonSchemaError("expected an array of 3 numbers", "")
+    return _numbers(value)
+
+
+def _record(closed):
+    def record(build, **fields):
+        def check(value):
+            if type(value) is not dict:
+                raise _expected("an object", value)
+            if value.keys() != fields.keys():
+                missing = [key for key in fields if key not in value]
+                if missing or closed:
+                    problem = "missing" if missing else "unexpected"
+                    key = (missing or [key for key in value if key not in fields])[0]
+                    raise JsonSchemaError(f"{problem} key {key!r}", "")
+            checked = []
+            for name, field in fields.items():
+                try:
+                    checked.append(field(value[name]))
+                except JsonSchemaError as exc:
+                    exc.json_path = f".{name}{exc.json_path}"
+                    raise
+            try:
+                return build(*checked)
+            except ValueError as exc:
+                raise JsonSchemaError(str(exc), "") from None
+
+        return check
+
+    return record
+
+
+_ITEM_BY_ITEM = SimpleNamespace(
+    integer=_exactly(int, "an integer"), string=_exactly(str, "a string"),
+    boolean=_exactly(bool, "a boolean"), number=_number, vec3=_vec3, array=_array,
+    record=_record(closed=True), open_record=_record(closed=False))
+
+
+def _rebuilt_schemas(*modules):
+    """Each module-level ``*_SCHEMA`` of ``modules``, mapped to its own
+    expression evaluated with the item-by-item checks."""
+    rebuilt = {}
+    for module in modules:
+        namespace = {**vars(module), "jsonio": _ITEM_BY_ITEM}
+        for node in ast.parse(inspect.getsource(module)).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id.endswith("_SCHEMA")):
+                code = compile(ast.Expression(node.value), module.__file__, "eval")
+                rebuilt[getattr(module, node.targets[0].id)] = eval(code, namespace)
+    return rebuilt
+
+
+_SCHEMAS = _rebuilt_schemas(scene_metadata, nav_graph, supervision_export)
+
+
+def _load_item_by_item(text, schema):
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise JsonSchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise JsonSchemaError("invalid JSON: nested too deeply") from None
+    try:
+        return _SCHEMAS[schema](doc)
+    except JsonSchemaError as exc:
+        exc.json_path = "$" + exc.json_path
+        raise
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the .house reader, one line at a time
+# ---------------------------------------------------------------------------
+
+
+def _records_line_by_line(text):
+    records = {kind: [] for kind in _LAYOUTS}
+    lines = {kind: [] for kind in _LAYOUTS}
+    for line_no, raw in numbered_lines(text):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if not records["H"] and kind != "H":
+            raise HouseParseError("expected the H header record first", line_no)
+        if kind not in _LAYOUTS:
+            raise HouseParseError(f"unknown record type {kind!r}", line_no)
+        build, n_tokens, padding, fields = _LAYOUTS[kind]
+        if len(tokens) != n_tokens:
+            raise HouseParseError(
+                f"{kind} record: expected {n_tokens} tokens, found {len(tokens)}", line_no)
+        if kind == "H" and records["H"]:
+            raise HouseParseError("duplicate H header record", line_no)
+        try:
+            for at in padding:
+                if tokens[at] != "0":
+                    raise ValueError(
+                        f"expected literal '0' padding at token {at}, found {tokens[at]!r}")
+            record = build(*[convert(tokens, at, what) for what, convert, at in fields])
+        except ValueError as exc:
+            raise HouseParseError(f"{kind} record: {exc}", line_no) from None
+        records[kind].append(record)
+        lines[kind].append(line_no)
+    if not records["H"]:
+        raise HouseParseError("empty document: missing H header record", 1)
+    return records, lines
+
+
+def _parse_house_line_by_line(text):
+    records, lines = _records_line_by_line(text)
+    [(scan_id, counts)] = records["H"]
+    for what, declared in counts.items():
+        found = len(records[_KIND_OF[what]])
+        if declared != found:
+            raise HouseParseError(
+                f"{what} count mismatch: header declares {declared}, found {found}",
+                lines["H"][0])
+    sections = [records[kind] for kind in "CROP"]
+    _validate_records(*sections, counts["level"],
+                      lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}",
+                                                             lines[_KIND_OF[kind]][pos]))
+    return _index_sorted(SceneModel(scan_id, *sections))
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
 
 
 def _outcome(reader, text):
@@ -46,10 +224,14 @@ def _outcome(reader, text):
                 getattr(exc, "json_path", None))
 
 
-def _both_ways(reader, text):
-    with _located_only():
-        located = _outcome(reader, text)
-    return _outcome(reader, text), located
+def _with_oracle(reader, text):
+    """The outcomes of ``reader`` and of its oracle on ``text``."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(jsonio, "load", _load_item_by_item))
+        stack.enter_context(mock.patch.object(scene_metadata, "_all_valid",
+                                              lambda *records: False))
+        oracle = _outcome(_parse_house_line_by_line if reader is parse_house else reader, text)
+    return _outcome(reader, text), oracle
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +299,8 @@ def _house_texts(draw):
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(_house_texts())
 def test_parse_house_equals_its_locating_path(text):
-    got, located = _both_ways(parse_house, text)
-    assert got == located
+    got, oracle = _with_oracle(parse_house, text)
+    assert got == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +363,8 @@ _SCENE_DOCS = [json.loads(write_scene_json(parse_house(text))) for text in _HOUS
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(st.sampled_from(_SCENE_DOCS).flatmap(_mutated))
 def test_read_scene_json_equals_its_locating_path(text):
-    got, located = _both_ways(read_scene_json, text)
-    assert got == located
+    got, oracle = _with_oracle(read_scene_json, text)
+    assert got == oracle
 
 
 def _all_pairs_edges(doc):
@@ -228,15 +410,15 @@ def _connectivity_docs(draw):
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(_connectivity_docs().flatmap(_mutated))
 def test_parse_connectivity_equals_its_locating_path(text):
-    got, located = _both_ways(parse_connectivity, text)
+    got, oracle = _with_oracle(parse_connectivity, text)
     if got[0] == "ok":
-        assert located[0] == "ok"
-        graph, reference = got[1], located[1]
+        assert oracle[0] == "ok"
+        graph, reference = got[1], oracle[1]
         assert graph.viewpoints == reference.viewpoints
         assert list(graph.edges.items()) == list(reference.edges.items())
         assert list(graph.edges.items()) == _all_pairs_edges(json.loads(text))
     else:
-        assert got == located
+        assert got == oracle
         if "-length edge" in got[2]:
             assert got[2] == _all_pairs_edges(json.loads(text))
 
@@ -259,8 +441,8 @@ def test_json_readers_equal_their_locating_path(reader, text):
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_mutated(json.loads(text)))
     def check(mutated):
-        got, located = _both_ways(reader, mutated)
-        assert got == located
+        got, oracle = _with_oracle(reader, mutated)
+        assert got == oracle
 
     check()
 
@@ -275,6 +457,90 @@ def test_axis_norms_at_the_tolerance(token, accepted):
     line = fixtures.TINY_HOUSE.split("\n")[10]
     assert line.split()[7:10] == ["1.000000", "0.000000", "0.000000"]
     text = fixtures.TINY_HOUSE.replace(line, line.replace(" 1.000000 ", f" {token} ", 1))
-    got, located = _both_ways(parse_house, text)
-    assert got == located
+    got, oracle = _with_oracle(parse_house, text)
+    assert got == oracle
     assert (got[0] == "ok") == accepted
+
+
+# ---------------------------------------------------------------------------
+# Document order: with several faults, the first one in the text is raised
+# ---------------------------------------------------------------------------
+
+
+def _json_error(reader, doc) -> str:
+    with pytest.raises(JsonSchemaError) as info:
+        reader(json.dumps(doc))
+    return str(info.value)
+
+
+def _dataset_doc(n: int) -> list:
+    return json.loads(emit_r2r_json([DatasetRecord(i, "s", 0.5, ("a", "b", "c"), ("go",), 1.5)
+                                     for i in range(n)]))
+
+
+def test_a_fault_in_an_earlier_item_wins():
+    doc = _dataset_doc(4)
+    doc[3]["path"] = []
+    assert _json_error(read_r2r_json, doc) == "$[3].path: expected at least 1 item(s), found 0"
+    doc[1]["path"][2] = 5
+    assert _json_error(read_r2r_json, doc) == "$[1].path[2]: expected a string, found integer"
+
+
+def test_an_object_fault_and_a_field_fault_in_item_order():
+    doc = _dataset_doc(4)
+    del doc[2]["scan"]
+    doc[3]["distance"] = "far"
+    assert _json_error(read_r2r_json, doc) == "$[2]: missing key 'scan'"
+    doc[1]["distance"] = "far"
+    assert _json_error(read_r2r_json, doc) == "$[1].distance: expected a number, found string"
+
+
+def test_the_earlier_field_in_the_schema_wins_inside_one_object():
+    doc = _dataset_doc(2)
+    fields = {key: value for key, value in doc[0].items() if key not in ("distance", "path_id")}
+    doc[0] = {"distance": "far", **fields, "path_id": True}
+    assert _json_error(read_r2r_json, doc) == "$[0].path_id: expected an integer, found boolean"
+
+
+def test_a_builder_error_in_an_earlier_item_wins():
+    doc = _dataset_doc(2)
+    doc[1]["path_id"] = "one"
+    doc[0]["heading"] = 7.0
+    assert _json_error(read_r2r_json, doc) == "$[0]: heading must be in [0, 2*pi), got 7.0"
+
+
+def test_nested_arrays_report_their_first_fault():
+    doc = json.loads(emit_supervision_json([
+        WordObjectSupervision(i, ("go", "left"), (0, 1), (("chair",), ("sofa", "lamp")))
+        for i in range(3)]))
+    doc[2]["path_id"] = "two"
+    doc[1]["objects_of_token"][1][0] = 3
+    assert (_json_error(read_supervision_json, doc)
+            == "$[1].objects_of_token[1][0]: expected a string, found integer")
+    doc[1]["objects_of_token"][0] = "chair"
+    assert (_json_error(read_supervision_json, doc)
+            == "$[1].objects_of_token[0]: expected an array, found string")
+
+
+def _house_error(lines: list[str]) -> tuple[int, str]:
+    with pytest.raises(HouseParseError) as info:
+        parse_house("\n".join(lines))
+    return info.value.line_number, str(info.value)
+
+
+def test_the_first_faulty_house_line_wins():
+    lines = _many_objects(fixtures.TINY_HOUSE, 300).split("\n")
+    at = [n for n, line in enumerate(lines) if line.startswith("O ")][5]  # in the first batch
+    later = at + 6
+    unknown = lines[:later] + ["X 0"] + lines[later:]
+    bad_category = lines[:later] + ["C 2 2 lamp zz lamp 0 0 0 0 0"] + lines[later:]
+    assert _house_error(unknown) == (later + 1, f"line {later + 1}: unknown record type 'X'")
+    assert _house_error(bad_category) == (
+        later + 1, f"line {later + 1}: C record: invalid integer 'zz' for mpcat40 index")
+    tokens = lines[at].split()
+    tokens[4] = "nan"  # the x of the center
+    bad_object = " ".join(tokens)
+    expected = (at + 1, f"line {at + 1}: O record: non-finite number for center")
+    for text in (unknown, bad_category):
+        text[at] = bad_object
+        assert _house_error(text) == expected

@@ -391,3 +391,11 @@ def test_open_record_ignores_extra_keys_but_not_missing_ones():
     with pytest.raises(JsonSchemaError) as err:
         jsonio.load('{"a": 1, "b": "x", "z": 2}', jsonio.record(lambda a, b: (a, b), **fields))
     assert str(err.value) == "$: unexpected key 'z'"
+
+
+def test_a_record_without_fields_builds_each_empty_object():
+    schema = jsonio.array(jsonio.record(lambda: "built"))
+    assert jsonio.load("[{}, {}]", schema) == ("built", "built")
+    with pytest.raises(JsonSchemaError) as err:
+        jsonio.load('[{}, {"a": 1}]', schema)
+    assert str(err.value) == "$[1]: unexpected key 'a'"
