@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import jsonio
@@ -18,7 +19,7 @@ from .instruction_crafter import craft_instruction
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, evaluate, evaluate_batch,
                                    execute, parse_crafted)
-from .nav_graph import (PathSpec, parse_connectivity, paths_from_json,
+from .nav_graph import (PathSpec, check_paths_on, parse_connectivity, paths_from_json,
                         paths_to_json, sample_paths)
 from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
@@ -96,6 +97,7 @@ def _cmd_craft(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     sample = paths_from_json(_read(_resolve(args.paths, cfg.files.paths,
                                             "sampled paths file (--paths)")))
+    check_paths_on(scan.graph, sample.paths, "$.paths")
     records = []
     for path_id, path in enumerate(sample.paths):
         crafted = craft_instruction(scan, path)
@@ -113,6 +115,7 @@ def _cmd_craft(args, cfg: RunConfig) -> tuple[str, int]:
 def _cmd_supervise(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
+    check_paths_on(scan.graph, records, "$")
     n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
     for i, record in enumerate(records):
@@ -141,6 +144,7 @@ def _cmd_ablate(args, cfg: RunConfig) -> tuple[str, int]:
 def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(args, cfg)
     records = read_r2r_json(_read(args.dataset))
+    check_paths_on(scan.graph, records, "$")
     rows = []
     metrics = []
     all_good = bool(records)
@@ -205,10 +209,24 @@ def _cmd_stats(args, cfg: RunConfig) -> tuple[str, int]:
         "instructions": n_instructions,
         "mean_tokens": (n_tokens / n_instructions) if n_instructions else 0.0,
         "mean_path_nodes": (sum(len(r.path) for r in records) / len(records)) if records else 0.0,
-        "mean_distance": (sum(r.distance for r in records) / len(records)) if records else 0.0,
+        "mean_distance": _mean([r.distance for r in records]),
         "vocabulary": len(vocabulary),
     }
     return jsonio.dumps(report), 0
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite non-negative ``values``, 0.0 for none. Where their
+    sum overflows, the values are summed scaled down by a power of two above
+    their count, which is exact but for subnormals, and the mean is capped at
+    the largest of them."""
+    if not values:
+        return 0.0
+    total = sum(values)
+    if total < math.inf:
+        return total / len(values)
+    scale = 2.0 ** len(values).bit_length()
+    return min(sum(value / scale for value in values) / len(values) * scale, max(values))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,20 @@ def check_route(path: tuple[str, ...], heading: float, distance: float) -> None:
         raise ValueError(f"distance must be non-negative, got {distance}")
 
 
+def check_paths_on(graph: NavGraph, records, where: str) -> None:
+    """Raise a JsonSchemaError at the first viewpoint in the ``path`` of
+    ``records`` (paths or dataset records) that ``graph`` does not hold or
+    reaches by no edge from the one before; record ``i`` is ``{where}[i]``."""
+    for i, path in enumerate(record.path for record in records):
+        for k, vid in enumerate(path):
+            try:
+                graph.viewpoint(vid)
+                if k:
+                    graph.edge_length(path[k - 1], vid)
+            except ValueError as exc:
+                raise jsonio.JsonSchemaError(str(exc), f"{where}[{i}].path[{k}]") from None
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A concrete path with its initial agent heading."""

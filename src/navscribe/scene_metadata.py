@@ -18,17 +18,16 @@ with ``int`` and ``float`` over precomputed token positions, one padding
 comparison and one ``math.isfinite`` sweep, and goes row by row with the
 converters only when that refuses. Reading stops at the first fault; the
 batches still pending are converted too, and the lowest faulty line is
-raised. ``_validate_records`` first checks the whole scene with set, min
-and max sweeps, and only when they refuse do the record-by-record checks
-run and raise the error with its line number or JSON path, so no message
-depends on which path saw the fault first.
+raised. ``_validate_records`` states each scene rule once, as a sweep of
+one column that walks it only when the sweep refuses, and raises the first
+fault by kind, record and rule, with its line number or JSON path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from operator import attrgetter, le
+from operator import attrgetter, le, or_
 
 from . import jsonio
 from .jsonio import JsonSchemaError as SceneJsonError  # the scene reader's name for it
@@ -359,111 +358,110 @@ _SECTION_OF = {"category": "categories", "region": "regions",
                "object": "objects", "panorama": "panoramas"}
 
 
-def _indexed(kind: str, records, err):
-    """(position, record) in order, each checked first for an index in
-    range and not seen before."""
-    n, seen = len(records), set()
-    for pos, rec in enumerate(records):
-        if not 0 <= rec.index < n:
-            raise err(kind, pos, f"index {rec.index} out of range ({n} {_SECTION_OF[kind]})")
-        if rec.index in seen:
-            raise err(kind, pos, f"duplicate index {rec.index}")
-        seen.add(rec.index)
-        yield pos, rec
-
-
 def _validate_records(categories, regions, objects, panoramas, n_levels, err) -> None:
     """Semantic checks shared by the text parser and the JSON reader.
 
     ``err(kind, position, message)`` must build the exception to raise, so
     each caller can attach its own location info (line number or JSON path).
     ``n_levels`` of None skips the level cross-index upper bound (the JSON
-    schema does not carry levels). ``_all_valid`` checks the whole scene
-    first; the loops below run, and find the first fault, only if it refuses.
+    schema does not carry levels).
+
+    Each rule is stated once: a C-level sweep of one column gives the first
+    record that breaks it, or None, and the message is built from that
+    record. The error raised is from the first kind with a fault, in the
+    order below, at its lowest faulty position, and from the first of its
+    rules there: index range, duplicate index, then the kind's own.
     """
-    if _all_valid(categories, regions, objects, panoramas, n_levels):
-        return
-    n_categories, n_regions = len(categories), len(regions)
+    names = _column(categories, "name")
+    axes0, axes1 = _column(objects, "axis0"), _column(objects, "axis1")
+    top_region = len(regions) - 1
+    for kind, records, own_rules in (
+        ("category", categories, [
+            (_outside(list(map(len, map(str.strip, names))), 1, math.inf),
+             lambda cat: "empty name"),
+            # Crafted text splits clauses at ". " and reads a stop clause's relation
+            # from its start, so names flagged True (1) here would not parse back.
+            (_outside(list(map(or_, map(str.__contains__, names, repeat(". ")), map(
+                str.startswith, names, repeat(("left of the ", "right of the "))))), 0, 0),
+             lambda cat: f"name {cat.name!r} would not parse back from crafted text"),
+        ]),
+        ("region", regions, [
+            (_outside(_column(regions, "level_index"), 0,
+                      math.inf if n_levels is None else n_levels - 1),
+             lambda region: f"level index {region.level_index} does not resolve"),
+            (_outside(list(map(le, chain.from_iterable(_column(regions, "bbox_lo")),  # True: 1
+                               chain.from_iterable(_column(regions, "bbox_hi")))), 1, 1, per=3),
+             lambda region: "bbox low exceeds bbox high"),
+        ]),
+        ("panorama", panoramas, [
+            (_repeated(_column(panoramas, "name")),
+             lambda pano: f"duplicate name {pano.name!r}"),
+            (_outside(_column(panoramas, "region_index"), -1, top_region),
+             lambda pano: f"region index {pano.region_index} does not resolve"),
+        ]),
+        ("object", objects, [
+            (_outside(_column(objects, "region_index"), -1, top_region),
+             lambda obj: f"region index {obj.region_index} does not resolve"),
+            (_outside(_column(objects, "category_index"), 0, len(categories) - 1),
+             lambda obj: f"category index {obj.category_index} does not resolve"),
+            (_not_unit(axes0),
+             lambda obj: f"axis0 is not unit length (norm {_norm(obj.axis0):.6f})"),
+            (_not_unit(axes1),
+             lambda obj: f"axis1 is not unit length (norm {_norm(obj.axis1):.6f})"),
+            (_outside(list(map(abs, map(_dot, axes0, axes1))), 0.0, AXIS_TOL),
+             lambda obj: "axis0 and axis1 are not orthogonal"),
+            (_outside(list(chain.from_iterable(_column(objects, "radii"))), 0.0, math.inf, per=3),
+             lambda obj: f"negative radius in {obj.radii}"),
+        ]),
+    ):
+        indices, n = _column(records, "index"), len(records)
+        rules = [
+            (_outside(indices, 0, n - 1),
+             lambda rec: f"index {rec.index} out of range ({n} {_SECTION_OF[kind]})"),
+            (_repeated(indices), lambda rec: f"duplicate index {rec.index}"),
+            *own_rules,
+        ]
+        faults = [(pos, rule) for rule, (pos, _) in enumerate(rules) if pos is not None]
+        if faults:
+            pos, rule = min(faults)
+            raise err(kind, pos, rules[rule][1](records[pos]))
 
-    for pos, cat in _indexed("category", categories, err):
-        if not cat.name.strip():
-            raise err("category", pos, "empty name")
-        # Crafted text splits clauses at ". " and reads a stop clause's
-        # relation from its start, so such names would not parse back.
-        if ". " in cat.name or cat.name.startswith(("left of the ", "right of the ")):
-            raise err("category", pos, f"name {cat.name!r} would not parse back from crafted text")
 
-    for pos, region in _indexed("region", regions, err):
-        if region.level_index < 0 or (n_levels is not None and region.level_index >= n_levels):
-            raise err("region", pos, f"level index {region.level_index} does not resolve")
-        for lo, hi in zip(region.bbox_lo, region.bbox_hi):
-            if lo > hi:
-                raise err("region", pos, "bbox low exceeds bbox high")
-
-    names: set[str] = set()
-    for pos, pano in _indexed("panorama", panoramas, err):
-        if pano.name in names:
-            raise err("panorama", pos, f"duplicate name {pano.name!r}")
-        names.add(pano.name)
-        if pano.region_index < -1 or pano.region_index >= n_regions:
-            raise err("panorama", pos, f"region index {pano.region_index} does not resolve")
-
-    for pos, obj in _indexed("object", objects, err):
-        if obj.region_index < -1 or obj.region_index >= n_regions:
-            raise err("object", pos, f"region index {obj.region_index} does not resolve")
-        if not 0 <= obj.category_index < n_categories:
-            raise err("object", pos, f"category index {obj.category_index} does not resolve")
-        for axis_name, axis in (("axis0", obj.axis0), ("axis1", obj.axis1)):
-            if abs(_norm(axis) - 1.0) > AXIS_TOL:
-                raise err("object", pos, f"{axis_name} is not unit length (norm {_norm(axis):.6f})")
-        if abs(_dot(obj.axis0, obj.axis1)) > AXIS_TOL:
-            raise err("object", pos, "axis0 and axis1 are not orthogonal")
-        if any(r < 0.0 for r in obj.radii):
-            raise err("object", pos, f"negative radius in {obj.radii}")
+def _column(records, name: str) -> list:
+    return list(map(attrgetter(name), records))
 
 
-# How far inside AXIS_TOL ``_all_valid`` keeps axis norms, which it computes
+def _outside(values: list, lo: float, hi: float, exact=None, per: int = 1) -> int | None:
+    """The position of the first record, of ``per`` of ``values`` each, with
+    a value below ``lo`` or above ``hi`` that ``exact(index)``, if given, also
+    refuses, or None; the values are walked only when min or max lies outside."""
+    if _within(values, lo, hi):
+        return None
+    return next((at // per for at, value in enumerate(values)
+                 if (value < lo or value > hi) and (exact is None or exact(at))), None)
+
+
+def _repeated(values: list) -> int | None:
+    """The position of the first of ``values`` equal to an earlier one, or
+    None; walked only when a set of them is smaller than the list."""
+    if len(set(values)) == len(values):
+        return None
+    first: dict = {}  # each value's first position
+    return next(pos for pos, value in enumerate(values) if first.setdefault(value, pos) != pos)
+
+
+# How far inside AXIS_TOL ``_not_unit`` sweeps axis norms, which it computes
 # with math.hypot instead of ``_norm``. Near unit length the two differ by a
-# few ulps of 1, far less than this, so only a borderline axis goes to the
-# exact loop.
+# few ulps of 1, far less than this, so ``_norm`` judges only the axes that
+# the sweep refuses: borderline ones and faults.
 _AXIS_MARGIN = 1e-9
-_UNPARSEABLE_PREFIXES = ("left of the ", "right of the ")
 
 
-def _all_valid(categories, regions, objects, panoramas, n_levels) -> bool:
-    """Whether ``_validate_records`` finds no fault, decided by C-level set,
-    min and max sweeps over whole record lists. False only says that the
-    located loops must look."""
-    for records in (categories, regions, objects, panoramas):
-        indices = set(map(_INDEX, records))
-        if len(indices) != len(records) or not _within(indices, 0, len(records) - 1):
-            return False
-    names = list(map(attrgetter("name"), categories))
-    if (not all(map(str.strip, names)) or ". " in "\n".join(names)
-            or any(map(str.startswith, names, repeat(_UNPARSEABLE_PREFIXES)))):
-        return False
-    n_regions = len(regions)
-    if not _within(list(map(attrgetter("level_index"), regions)), 0,
-                   math.inf if n_levels is None else n_levels - 1):
-        return False
-    lows = chain.from_iterable(map(attrgetter("bbox_lo"), regions))
-    highs = chain.from_iterable(map(attrgetter("bbox_hi"), regions))
-    if not all(map(le, lows, highs)):
-        return False
-    if (len(set(map(attrgetter("name"), panoramas))) != len(panoramas)
-            or not _within(list(map(attrgetter("region_index"), panoramas)), -1, n_regions - 1)
-            or not _within(list(map(attrgetter("region_index"), objects)), -1, n_regions - 1)
-            or not _within(list(map(attrgetter("category_index"), objects)),
-                           0, len(categories) - 1)):
-        return False
-    axes0 = list(map(attrgetter("axis0"), objects))
-    axes1 = list(map(attrgetter("axis1"), objects))
-    if not _within(list(starmap(math.hypot, chain(axes0, axes1))),
-                   1.0 - AXIS_TOL + _AXIS_MARGIN, 1.0 + AXIS_TOL - _AXIS_MARGIN):
-        return False
-    radii = list(chain.from_iterable(map(attrgetter("radii"), objects)))
-    return (_within(list(map(abs, map(_dot, axes0, axes1))), 0.0, AXIS_TOL)
-            and _within(radii, 0.0, math.inf))
+def _not_unit(axes: list) -> int | None:
+    """The position of the first of ``axes`` not of unit length, or None."""
+    return _outside(list(starmap(math.hypot, axes)),
+                    1.0 - AXIS_TOL + _AXIS_MARGIN, 1.0 + AXIS_TOL - _AXIS_MARGIN,
+                    lambda pos: abs(_norm(axes[pos]) - 1.0) > AXIS_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@ JSON readers check each list of values, lines or records as a whole in one
 pass, and walk it one value at a time only when that check refuses, to
 raise the first fault in document order. The oracles below are the readers
 as they were before that pass: a JSON checker that takes one value at a
-time and a ``.house`` reader that converts one line at a time. Each
-property runs a reader and its oracle on the same valid or mutated
-document; in the oracle run the whole-scene sweep of ``_validate_records``
-is also made to refuse, so that its record-by-record loops run. Both runs
-must give the same model, or the same error type, message and location.
-Connectivity edges are also checked against an all-pairs enumeration.
+time, a ``.house`` reader that converts one line at a time, and scene
+rules checked record by record. Each property runs a reader and its oracle
+on the same valid or mutated document. Both runs must give the same model,
+or the same error type, message and location. Connectivity edges are also
+checked against an all-pairs enumeration.
 """
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -32,9 +32,10 @@ from navscribe import fixtures, jsonio, nav_graph, scene_metadata, supervision_e
 from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import (PathSpec, SampleResult, parse_connectivity, paths_from_json,
                                  paths_to_json)
-from navscribe.scene_metadata import (_KIND_OF, _LAYOUTS, HouseParseError, SceneModel,
-                                      _index_sorted, _validate_records, numbered_lines,
-                                      parse_house, read_scene_json, write_scene_json)
+from navscribe.scene_metadata import (_KIND_OF, _LAYOUTS, _SECTION_OF, AXIS_TOL,
+                                      HouseParseError, SceneModel, _dot, _index_sorted, _norm,
+                                      numbered_lines, parse_house, read_scene_json,
+                                      write_scene_json)
 from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision, emit_r2r_json,
                                           emit_supervision_json, read_r2r_json,
                                           read_supervision_json)
@@ -158,6 +159,62 @@ def _load_item_by_item(text, schema):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the scene rules, one record at a time
+# ---------------------------------------------------------------------------
+
+
+def _indexed(kind: str, records, err):
+    """(position, record) in order, each checked first for an index in
+    range and not seen before."""
+    n, seen = len(records), set()
+    for pos, rec in enumerate(records):
+        if not 0 <= rec.index < n:
+            raise err(kind, pos, f"index {rec.index} out of range ({n} {_SECTION_OF[kind]})")
+        if rec.index in seen:
+            raise err(kind, pos, f"duplicate index {rec.index}")
+        seen.add(rec.index)
+        yield pos, rec
+
+
+def _validate_records_one_by_one(categories, regions, objects, panoramas, n_levels, err):
+    n_categories, n_regions = len(categories), len(regions)
+
+    for pos, cat in _indexed("category", categories, err):
+        if not cat.name.strip():
+            raise err("category", pos, "empty name")
+        if ". " in cat.name or cat.name.startswith(("left of the ", "right of the ")):
+            raise err("category", pos, f"name {cat.name!r} would not parse back from crafted text")
+
+    for pos, region in _indexed("region", regions, err):
+        if region.level_index < 0 or (n_levels is not None and region.level_index >= n_levels):
+            raise err("region", pos, f"level index {region.level_index} does not resolve")
+        for lo, hi in zip(region.bbox_lo, region.bbox_hi):
+            if lo > hi:
+                raise err("region", pos, "bbox low exceeds bbox high")
+
+    names: set[str] = set()
+    for pos, pano in _indexed("panorama", panoramas, err):
+        if pano.name in names:
+            raise err("panorama", pos, f"duplicate name {pano.name!r}")
+        names.add(pano.name)
+        if pano.region_index < -1 or pano.region_index >= n_regions:
+            raise err("panorama", pos, f"region index {pano.region_index} does not resolve")
+
+    for pos, obj in _indexed("object", objects, err):
+        if obj.region_index < -1 or obj.region_index >= n_regions:
+            raise err("object", pos, f"region index {obj.region_index} does not resolve")
+        if not 0 <= obj.category_index < n_categories:
+            raise err("object", pos, f"category index {obj.category_index} does not resolve")
+        for axis_name, axis in (("axis0", obj.axis0), ("axis1", obj.axis1)):
+            if abs(_norm(axis) - 1.0) > AXIS_TOL:
+                raise err("object", pos, f"{axis_name} is not unit length (norm {_norm(axis):.6f})")
+        if abs(_dot(obj.axis0, obj.axis1)) > AXIS_TOL:
+            raise err("object", pos, "axis0 and axis1 are not orthogonal")
+        if any(r < 0.0 for r in obj.radii):
+            raise err("object", pos, f"negative radius in {obj.radii}")
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the .house reader, one line at a time
 # ---------------------------------------------------------------------------
 
@@ -205,9 +262,9 @@ def _parse_house_line_by_line(text):
                 f"{what} count mismatch: header declares {declared}, found {found}",
                 lines["H"][0])
     sections = [records[kind] for kind in "CROP"]
-    _validate_records(*sections, counts["level"],
-                      lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}",
-                                                             lines[_KIND_OF[kind]][pos]))
+    _validate_records_one_by_one(
+        *sections, counts["level"],
+        lambda kind, pos, msg: HouseParseError(f"{kind} record: {msg}", lines[_KIND_OF[kind]][pos]))
     return _index_sorted(SceneModel(scan_id, *sections))
 
 
@@ -228,8 +285,8 @@ def _with_oracle(reader, text):
     """The outcomes of ``reader`` and of its oracle on ``text``."""
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(jsonio, "load", _load_item_by_item))
-        stack.enter_context(mock.patch.object(scene_metadata, "_all_valid",
-                                              lambda *records: False))
+        stack.enter_context(mock.patch.object(scene_metadata, "_validate_records",
+                                              _validate_records_one_by_one))
         oracle = _outcome(_parse_house_line_by_line if reader is parse_house else reader, text)
     return _outcome(reader, text), oracle
 
@@ -448,8 +505,8 @@ def test_json_readers_equal_their_locating_path(reader, text):
 
 
 # axis0 of TINY_HOUSE's line 11 is (1, 0, 0), so its norm is its first
-# token. 1.001 and 0.9990000001 are inside AXIS_TOL but within the bulk
-# check's margin of it, so only the exact loop accepts them.
+# token. 1.001 and 0.9990000001 are inside AXIS_TOL but within the hypot
+# sweep's margin of it, so only the exact norm accepts them.
 @pytest.mark.parametrize("token,accepted", [("1.0009", True), ("1.001", True),
                                             ("0.9990000001", True), ("0.999", False),
                                             ("1.0010001", False), ("0.9989999", False)])
@@ -460,6 +517,82 @@ def test_axis_norms_at_the_tolerance(token, accepted):
     got, oracle = _with_oracle(parse_house, text)
     assert got == oracle
     assert (got[0] == "ok") == accepted
+
+
+# ---------------------------------------------------------------------------
+# Scene rules: several faults at once, in every kind
+# ---------------------------------------------------------------------------
+
+
+_SCENES = [parse_house(text) for text in _HOUSES]
+_KIND_ORDER = ["category", "region", "panorama", "object"]  # the order faults are raised in
+# Field values that break a rule, meet it only just, or keep it, per field.
+_AXES = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.001, 0.0, 0.0),
+                         (0.9990000001, 0.0, 0.0), (0.999, 0.0, 0.0), (1.0010001, 0.0, 0.0),
+                         (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1e308, 1e308, 0.0),
+                         (0.002, 1.0, 0.0), (0.0011, 1.0, 0.0), (0.707107, 0.707107, 0.0)])
+_FIELD_VALUES = {
+    "index": st.integers(-2, 6),
+    "name": st.sampled_from(["", "  ", "a. b", "a.b", "left of the x", "right of the y",
+                             "left of them", "bed", "p000", "p001"]),
+    "level_index": st.integers(-2, 4),
+    "bbox_lo": st.sampled_from([(9.0, -5.0, 0.0), (-5.0, 9.0, 0.0), (-5.0, -5.0, 9.0),
+                                (-9.0, -9.0, -9.0)]),
+    "bbox_hi": st.sampled_from([(-9.0, 5.0, 3.0), (5.0, 5.0, -9.0), (9.0, 9.0, 9.0)]),
+    "region_index": st.integers(-3, 4),
+    "category_index": st.integers(-2, 4),
+    "axis0": _AXES,
+    "axis1": _AXES,
+    "radii": st.sampled_from([(1.0, 1.0, 1.0), (-0.0, 1.0, 1.0), (1.0, -1e-9, 1.0),
+                              (0.0, 0.0, 0.0), (-1.0, 2.0, -3.0)]),
+}
+_FAULTY_FIELDS = {
+    "category": ["index", "name"],
+    "region": ["index", "level_index", "bbox_lo", "bbox_hi"],
+    "panorama": ["index", "name", "region_index"],
+    "object": ["index", "region_index", "category_index", "axis0", "axis1", "radii"],
+}
+
+
+@st.composite
+def _faulty_scenes(draw):
+    """The record lists of a valid scene with 1 to 5 records changed in 1
+    to 3 fields each, and the level count to check against. The faults fall
+    in the kinds from a drawn one on, so that each kind is often the first
+    with a fault, and mostly in the first few records, so that they share
+    records."""
+    scene = draw(st.sampled_from(_SCENES))
+    sections = {kind: list(getattr(scene, _SECTION_OF[kind])) for kind in _KIND_ORDER}
+    kinds = _KIND_ORDER[draw(st.integers(0, 3)):]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        records = sections[kind]
+        pos = draw(st.integers(0, min(3, len(records) - 1)) | st.just(len(records) - 1))
+        fields = draw(st.lists(st.sampled_from(_FAULTY_FIELDS[kind]), min_size=1, max_size=3))
+        records[pos] = dataclasses.replace(
+            records[pos], **{field: draw(_FIELD_VALUES[field]) for field in fields})
+    return [sections[kind] for kind in ("category", "region", "object", "panorama")], draw(
+        st.sampled_from([None, 1, 3]))
+
+
+class _Fault(Exception):
+    pass
+
+
+def _first_fault(validate, sections, n_levels):
+    try:
+        validate(*sections, n_levels, lambda kind, pos, message: _Fault(kind, pos, message))
+    except _Fault as fault:
+        return fault.args
+    return None
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_faulty_scenes())
+def test_validate_records_raises_the_first_fault_of_its_oracle(scene):
+    sections, n_levels = scene
+    assert (_first_fault(scene_metadata._validate_records, sections, n_levels)
+            == _first_fault(_validate_records_one_by_one, sections, n_levels))
 
 
 # ---------------------------------------------------------------------------

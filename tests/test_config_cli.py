@@ -353,6 +353,53 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
+    # Two loop0 paths: vp13 to vp17 and vp12 down to vp06. vp24 is excluded,
+    # so no edge reaches it; at the end of a gold route it was infinitely far
+    # from wherever the executor stopped.
+    @pytest.mark.parametrize("command,at,viewpoint,message", [
+        ("craft", (0, 1), "nowhere", "$.paths[0].path[1]: unknown viewpoint id 'nowhere'"),
+        ("supervise", (1, 6), "nowhere", "$[1].path[6]: unknown viewpoint id 'nowhere'"),
+        ("validate", (0, 5), "loop0_vp24",
+         "$[0].path[5]: no edge between 'loop0_vp17' and 'loop0_vp24'"),
+    ])
+    def test_path_off_the_graph_is_located_error(self, workdir, tmp_path, capsys, command,
+                                                 at, viewpoint, message):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        edited = paths if command == "craft" else dataset
+        doc = json.loads(edited.read_text("utf-8"))
+        route = (doc["paths"] if command == "craft" else doc)[at[0]]["path"]
+        route[at[1]:] = [viewpoint]
+        edited.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        inputs = ["--paths", str(paths)] if command == "craft" else ["--dataset", str(dataset)]
+        out_file = tmp_path / "out.json"
+        code = main([command, *_loop_args(workdir), *inputs, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("n,distance", [(3, 1.7976931348623157e308), (5, 1e308)])
+    def test_stats_mean_distance_survives_an_overflowing_sum(self, workdir, tmp_path, n,
+                                                             distance):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", str(n), "--seed", "42",
+                     "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        doc = json.loads(dataset.read_text("utf-8"))
+        assert len(doc) == n
+        for record in doc:
+            record["distance"] = distance
+        dataset.write_text(json.dumps(doc), "utf-8")
+        stats = tmp_path / "stats.json"
+        assert main(["stats", "--dataset", str(dataset), "--out", str(stats)]) == 0
+        mean = json.loads(stats.read_text("utf-8"))["mean_distance"]
+        assert math.isfinite(mean) and mean <= distance
+
     @pytest.mark.parametrize("flag", ["--dataset", "--connectivity"])
     def test_deeply_nested_json_is_an_error_not_a_traceback(self, workdir, tmp_path,
                                                             capsys, flag):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navscribe import fixtures
-from navscribe.scene_metadata import (HouseParseError, SceneJsonError, SceneModel,
-                                      category_name, head_noun, parse_house,
+from navscribe.scene_metadata import (_SECTION_OF, HouseParseError, SceneJsonError,
+                                      SceneModel, category_name, head_noun, parse_house,
                                       read_scene_json, write_scene_json)
 
 
@@ -334,6 +334,71 @@ def test_count_mismatch_names_the_header_line(position, what, found, blank_lines
     assert err.value.line_number == line
     assert str(err.value) == (f"line {line}: {what} count mismatch: "
                               f"header declares 7, found {found}")
+
+
+# One single-fault case per scene rule: the record kind and position, the
+# token to set in that record's TINY_HOUSE line, the field to set in the
+# scene JSON, and the message. A record has the same position in both.
+# Only the JSON reader reaches "empty name" (the .house name converter
+# refuses an empty name first), and only the .house reader knows the level
+# count, so the level rule has one case per bound.
+_FIRST_LINE = {"region": 3, "category": 5, "panorama": 7, "object": 11}
+_RULE_FAULTS = [
+    ("category-index", "category", 1, (1, "2"), ("index", 2),
+     "index 2 out of range (2 categories)"),
+    ("category-duplicate-index", "category", 1, (1, "0"), ("index", 0), "duplicate index 0"),
+    ("category-empty-name", "category", 0, None, ("name", ""), "empty name"),
+    ("category-unparseable-name", "category", 1, (3, "x._ytable"), ("name", "x. ytable"),
+     "name 'x. ytable' would not parse back from crafted text"),
+    ("region-index", "region", 1, (1, "-1"), ("index", -1),
+     "index -1 out of range (2 regions)"),
+    ("region-duplicate-index", "region", 1, (1, "0"), ("index", 0), "duplicate index 0"),
+    ("region-level-below", "region", 0, (2, "-1"), ("level_index", -1),
+     "level index -1 does not resolve"),
+    ("region-level-above", "region", 1, (2, "1"), None, "level index 1 does not resolve"),
+    ("region-bbox", "region", 0, (9, "1"), ("bbox_lo", [1.0, -5.0, 0.0]),
+     "bbox low exceeds bbox high"),
+    ("panorama-index", "panorama", 1, (2, "4"), ("index", 4),
+     "index 4 out of range (4 panoramas)"),
+    ("panorama-duplicate-index", "panorama", 2, (2, "1"), ("index", 1), "duplicate index 1"),
+    ("panorama-duplicate-name", "panorama", 1, (1, "p000"), ("name", "p000"),
+     "duplicate name 'p000'"),
+    ("panorama-region", "panorama", 0, (3, "-2"), ("region_index", -2),
+     "region index -2 does not resolve"),
+    ("object-index", "object", 1, (1, "3"), ("index", 3), "index 3 out of range (3 objects)"),
+    ("object-duplicate-index", "object", 2, (1, "0"), ("index", 0), "duplicate index 0"),
+    ("object-region", "object", 0, (2, "2"), ("region_index", 2),
+     "region index 2 does not resolve"),
+    ("object-category", "object", 0, (3, "2"), ("category_index", 2),
+     "category index 2 does not resolve"),
+    ("object-axis0", "object", 0, (7, "1.1"), ("axis0", [1.1, 0.0, 0.0]),
+     "axis0 is not unit length (norm 1.100000)"),
+    ("object-axis1", "object", 0, (11, "0.9"), ("axis1", [0.0, 0.9, 0.0]),
+     "axis1 is not unit length (norm 0.900000)"),
+    ("object-orthogonal", "object", 0, (10, "0.002"), ("axis1", [0.002, 1.0, 0.0]),
+     "axis0 and axis1 are not orthogonal"),
+    ("object-radius", "object", 0, (14, "-0.8"), ("radii", [1.0, -0.8, 0.5]),
+     "negative radius in (1.0, -0.8, 0.5)"),
+]
+
+
+@pytest.mark.parametrize("kind,pos,token,field,message", [case[1:] for case in _RULE_FAULTS],
+                         ids=[case[0] for case in _RULE_FAULTS])
+def test_each_scene_rule_is_pinned_in_both_readers(tiny_scene, kind, pos, token, field,
+                                                   message):
+    if token is not None:
+        line = _FIRST_LINE[kind] + pos
+        with pytest.raises(HouseParseError) as err:
+            parse_house(_edit_tiny(line, _token_set(*token)))
+        assert (err.value.line_number, str(err.value)) == (
+            line, f"line {line}: {kind} record: {message}")
+    if field is not None:
+        doc = json.loads(write_scene_json(tiny_scene))
+        doc[_SECTION_OF[kind]][pos][field[0]] = field[1]
+        with pytest.raises(SceneJsonError) as err:
+            read_scene_json(json.dumps(doc))
+        assert (err.value.json_path, err.value.args[0]) == (f"$.{_SECTION_OF[kind]}[{pos}]",
+                                                            message)
 
 
 _FUZZ_HOUSES = [fixtures.TINY_HOUSE] + [fx.house_text for fx in fixtures.all_scenes()]
