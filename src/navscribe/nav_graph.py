@@ -89,10 +89,16 @@ def check_route(path: tuple[str, ...], heading: float, distance: float) -> None:
 
 
 def check_paths_on(graph: NavGraph, records, where: str) -> None:
-    """Raise a JsonSchemaError at the first viewpoint in the ``path`` of
-    ``records`` (paths or dataset records) that ``graph`` does not hold or
-    reaches by no edge from the one before; record ``i`` is ``{where}[i]``."""
-    for i, path in enumerate(record.path for record in records):
+    """Raise a JsonSchemaError at the first fault in ``records`` (paths or
+    dataset records) on ``graph``, record by record: a ``scan`` that is not
+    the graph's, then the first viewpoint of the ``path`` that the graph does
+    not hold or reaches by no edge from the one before; record ``i`` is
+    ``{where}[i]``."""
+    for i, record in enumerate(records):
+        if record.scan != graph.scan_id:
+            raise jsonio.JsonSchemaError(
+                f"scan {record.scan!r} is not the scene's {graph.scan_id!r}", f"{where}[{i}].scan")
+        path = record.path
         for k, vid in enumerate(path):
             try:
                 graph.viewpoint(vid)
@@ -201,21 +207,51 @@ def neighbors(graph: NavGraph, vid: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra_all(graph: NavGraph, source: str) -> dict[str, tuple[float, tuple[str, ...]]]:
-    """Cheapest (cost, path) per reachable node; cost ties break on the
-    lexicographically smaller path, which the heap order provides for free."""
+def _dijkstra_all(graph: NavGraph, source: str, until: set[str] | None = None
+                  ) -> dict[str, tuple[float, tuple[str, ...]]]:
+    """Cheapest (cost, path) per settled node; cost ties break on the
+    lexicographically smaller path, which the heap order provides for free.
+
+    With no ``until`` every reachable node is settled. With a set ``until``
+    the search stops as soon as every node of it is settled. Up to that point
+    it pops and pushes exactly what the full search does, so each node it
+    settles has the full search's entry, ties included; nodes of ``until``
+    that are unreachable leave the search running to the end.
+    """
     best: dict[str, tuple[float, tuple[str, ...]]] = {}
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
+    left = None if until is None else set(until)
     while heap:
         cost, path = heapq.heappop(heap)
         node = path[-1]
         if node in best:
             continue
         best[node] = (cost, path)
+        if left is not None:
+            left.discard(node)
+            if not left:
+                break
         for nbr, weight in graph.adjacency(node):
             if nbr not in best:
                 heapq.heappush(heap, (cost + weight, path + (nbr,)))
     return best
+
+
+def _within_hops(graph: NavGraph, source: str, hops: int) -> set[str]:
+    """The viewpoints at most ``hops`` edges from ``source``, by a
+    breadth-first search that also stops once its frontier is empty."""
+    reached = {source}
+    frontier = [source]
+    while frontier and hops > 0:
+        hops -= 1
+        nxt = []
+        for node in frontier:
+            for nbr, _ in graph.adjacency(node):
+                if nbr not in reached:
+                    reached.add(nbr)
+                    nxt.append(nbr)
+        frontier = nxt
+    return reached
 
 
 def shortest_path(graph: NavGraph, a: str, b: str) -> PathSpec | None:
@@ -223,14 +259,15 @@ def shortest_path(graph: NavGraph, a: str, b: str) -> PathSpec | None:
 
     Equal-cost alternatives resolve to the path whose first differing
     viewpoint id sorts lower. The initial heading faces the second node
-    (0.0 for the trivial single-node path).
+    (0.0 for the trivial single-node path). The search stops once b is
+    settled, with the entry the full search would give it.
     """
     for vid in (a, b):
         if not graph.viewpoint(vid).included:
             raise ValueError(f"viewpoint {vid!r} is not included")
     if a == b:
         return PathSpec(graph.scan_id, (a,), 0.0, 0.0)
-    best = _dijkstra_all(graph, a)
+    best = _dijkstra_all(graph, a, until={b})
     if b not in best:
         return None
     cost, path = best[b]
@@ -239,12 +276,13 @@ def shortest_path(graph: NavGraph, a: str, b: str) -> PathSpec | None:
 
 
 def geodesic_distance(graph: NavGraph, a: str, b: str) -> float:
-    """Length of the cheapest route between two viewpoints, inf if none."""
+    """Length of the cheapest route between two viewpoints, inf if none; the
+    search stops once b is settled, at the full search's cost."""
     graph.viewpoint(a)
     graph.viewpoint(b)
     if a == b:
         return 0.0
-    best = _dijkstra_all(graph, a)
+    best = _dijkstra_all(graph, a, until={b})
     return best[b][0] if b in best else math.inf
 
 
@@ -271,9 +309,13 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
 
     A source's eligible targets are found by one Dijkstra run, made the
     first time that source is drawn as ``i``; sources never drawn cost
-    nothing. Draws after the last acceptance change no output, so the
-    result equals that of building every source's row before the first
-    draw.
+    nothing. The run stops once it has settled every viewpoint within
+    ``max_hops`` edges of the source. That is exact: a target whose shortest
+    path has at most ``max_hops`` edges is among them, so it gets the full
+    search's path and cost, and a viewpoint outside them has no path that
+    short, so it is never eligible. Draws after the last acceptance change
+    no output, so the result equals that of building every source's row
+    before the first draw with full searches.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -298,7 +340,8 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
         if row is None:
             row = rows[a] = {
                 target: (path, cost)
-                for target, (cost, path) in _dijkstra_all(graph, a).items()
+                for target, (cost, path)
+                in _dijkstra_all(graph, a, _within_hops(graph, a, max_hops)).items()
                 if target != a and min_hops <= len(path) - 1 <= max_hops
                 and cost >= min_geodesic
             }

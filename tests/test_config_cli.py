@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -381,6 +382,43 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert not out_file.exists()
+
+    # The edited record is the second; the first still names loop0.
+    @pytest.mark.parametrize("command,where", [
+        ("craft", "$.paths[1].scan"),
+        ("supervise", "$[1].scan"),
+        ("validate", "$[1].scan"),
+    ])
+    def test_record_of_another_scan_is_located_error(self, workdir, tmp_path, capsys,
+                                                     command, where):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        edited = paths if command == "craft" else dataset
+        doc = json.loads(edited.read_text("utf-8"))
+        (doc["paths"] if command == "craft" else doc)[1]["scan"] = "stairs0"
+        edited.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        inputs = ["--paths", str(paths)] if command == "craft" else ["--dataset", str(dataset)]
+        out_file = tmp_path / "out.json"
+        code = main([command, *_loop_args(workdir), *inputs, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: scan 'stairs0' is not the scene's 'loop0'\n"
+        assert not out_file.exists()
+
+    def test_huge_max_hops_is_as_cheap_as_the_viewpoint_count(self, workdir, tmp_path):
+        n_viewpoints = len(json.loads((workdir / "loop0_connectivity.json").read_text("utf-8")))
+        outputs = []
+        for max_hops in (n_viewpoints, 10**9):
+            out_file = tmp_path / f"paths_{max_hops}.json"
+            start = time.perf_counter()
+            assert main(["sample-paths", *_loop_args(workdir), "--n", "30", "--seed", "42",
+                         "--max-hops", str(max_hops), "--out", str(out_file)]) == 0
+            assert time.perf_counter() - start < 2.0
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n,distance", [(3, 1.7976931348623157e308), (5, 1e308)])
     def test_stats_mean_distance_survives_an_overflowing_sum(self, workdir, tmp_path, n,

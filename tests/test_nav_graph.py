@@ -11,15 +11,16 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SQUARE_EDGES, SQUARE_POSITIONS, build_graph
+from navscribe import nav_graph
 from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import (HEADING_CHOICES, ConnectivityError, NavGraph, PathSpec,
-                                 SampleResult, Viewpoint, _dijkstra_all, geodesic_distance,
-                                 neighbors, parse_connectivity, paths_from_json,
-                                 paths_to_json, sample_paths, shortest_path)
+                                 SampleResult, Viewpoint, _dijkstra_all, _within_hops,
+                                 geodesic_distance, neighbors, parse_connectivity,
+                                 paths_from_json, paths_to_json, sample_paths, shortest_path)
 from navscribe.rng import SplitMix64
 
 
@@ -312,22 +313,14 @@ def eager_sample_paths(graph, n, seed, min_hops, max_hops, min_geodesic):
     return SampleResult(tuple(out), n - len(out))
 
 
-@st.composite
-def _sampling_graphs(draw):
-    """Small graphs on integer points: random edge sets, which may split into
-    components, or full grids, whose unit edges tie many routes exactly; some
-    viewpoints excluded, and as few as none included."""
-    if draw(st.booleans()):
-        w, h = draw(st.integers(2, 5)), draw(st.integers(1, 4))
-        points = [(float(x), float(y), 0.0) for x in range(w) for y in range(h)]
-        pairs = [(i, j) for i, p in enumerate(points) for j, q in enumerate(points)
-                 if i < j and math.dist(p, q) == 1.0]
-    else:
-        cells = [(float(x), float(y), 0.0) for x in range(4) for y in range(4)]
-        points = draw(st.permutations(cells))[:draw(st.integers(0, 12))]
-        every = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-        pairs = draw(st.lists(st.sampled_from(every), min_size=min(len(every), len(points)),
-                              unique=True)) if every else []
+def _unit_pairs(points):
+    return [(i, j) for i, p in enumerate(points) for j, q in enumerate(points)
+            if i < j and math.dist(p, q) == 1.0]
+
+
+def _graph_on(draw, points, pairs):
+    """A graph over ``points`` with the edges ``pairs`` whose endpoints are
+    both included; names shuffled, some viewpoints excluded."""
     names = draw(st.permutations([f"v{i}" for i in range(len(points))]))
     excluded = draw(st.sets(st.integers(0, max(len(points) - 1, 0)),
                             max_size=len(points) // 3 + 1))
@@ -341,6 +334,42 @@ def _sampling_graphs(draw):
     return NavGraph("gen", viewpoints, edges)
 
 
+@st.composite
+def _sampling_graphs(draw):
+    """Small graphs on integer points: random edge sets, which may split into
+    components, or full grids, whose unit edges tie many routes exactly; some
+    viewpoints excluded, and as few as none included."""
+    if draw(st.booleans()):
+        w, h = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        points = [(float(x), float(y), 0.0) for x in range(w) for y in range(h)]
+        pairs = _unit_pairs(points)
+    else:
+        cells = [(float(x), float(y), 0.0) for x in range(4) for y in range(4)]
+        points = draw(st.permutations(cells))[:draw(st.integers(0, 12))]
+        every = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+        pairs = draw(st.lists(st.sampled_from(every), min_size=min(len(every), len(points)),
+                              unique=True)) if every else []
+    return _graph_on(draw, points, pairs)
+
+
+@st.composite
+def _long_graphs(draw):
+    """Graphs with many viewpoints more than three edges apart: unit grids up
+    to 8x8, or chains whose steps are 1, 2 or 3 long; some viewpoints
+    excluded, which can cut them into pieces."""
+    if draw(st.booleans()):
+        w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        points = [(float(x), float(y), 0.0) for x in range(w) for y in range(h)]
+        pairs = _unit_pairs(points)
+    else:
+        steps = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=15))
+        points = [(0.0, 0.0, 0.0)]
+        for step in steps:
+            points.append((points[-1][0] + step, 0.0, 0.0))
+        pairs = [(i, i + 1) for i in range(len(steps))]
+    return _graph_on(draw, points, pairs)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(graph=_sampling_graphs(), n=st.sampled_from([0, 1, 2, 3, 5, 200]),
        seed=st.integers(0, 2**64 - 1), min_hops=st.integers(0, 3),
@@ -349,6 +378,90 @@ def test_sample_paths_equals_the_eager_reference(graph, n, seed, min_hops, extra
                                                  min_geodesic):
     args = (graph, n, seed, min_hops, min_hops + extra_hops, min_geodesic)
     assert sample_paths(*args) == eager_sample_paths(*args)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph=_long_graphs(), n=st.sampled_from([1, 3, 10, 500]),
+       seed=st.integers(0, 2**64 - 1), max_hops=st.integers(1, 3), data=st.data(),
+       min_geodesic=st.sampled_from([0.0, 1.0, 2.5]))
+def test_sample_paths_equals_the_eager_reference_where_max_hops_cuts(
+        graph, n, seed, max_hops, data, min_geodesic):
+    min_hops = data.draw(st.integers(0, max_hops))
+    args = (graph, n, seed, min_hops, max_hops, min_geodesic)
+    assert sample_paths(*args) == eager_sample_paths(*args)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(graph=st.one_of(_sampling_graphs(), _long_graphs()), data=st.data())
+def test_bounded_search_settles_until_with_the_full_search_entries(graph, data):
+    ids = [v.id for v in graph.viewpoints]
+    assume(ids)
+    source = data.draw(st.sampled_from(ids))
+    until = data.draw(st.sets(st.sampled_from(ids)))
+    full = _dijkstra_all(graph, source)
+    bounded = _dijkstra_all(graph, source, until)
+    assert {node: full[node] for node in bounded} == bounded
+    assert until & full.keys() <= bounded.keys()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph=st.one_of(_sampling_graphs(), _long_graphs()), data=st.data())
+def test_single_pair_searches_equal_the_full_search(graph, data):
+    ids = [v.id for v in graph.viewpoints]
+    assume(ids)
+    a = data.draw(st.sampled_from(ids))
+    full = _dijkstra_all(graph, a)
+    for b in ids:
+        expected = full[b][0] if b in full else math.inf
+        assert geodesic_distance(graph, a, b) == (0.0 if a == b else expected)
+        if not (graph.viewpoint(a).included and graph.viewpoint(b).included):
+            continue
+        found = shortest_path(graph, a, b)
+        if a == b:
+            assert found.path == (a,) and found.geodesic_length == 0.0
+        elif b not in full:
+            assert found is None
+        else:
+            assert (found.geodesic_length, found.path) == full[b]
+
+
+def _grid(size):
+    positions = {f"g{x:02d}_{y:02d}": (float(x), float(y), 0.0)
+                 for x in range(size) for y in range(size)}
+    names = list(positions)
+    pairs = [(names[i], names[j]) for i, j in _unit_pairs(list(positions.values()))]
+    return build_graph(positions, pairs)
+
+
+class TestHopBound:
+    """Deterministic work counts: on a unit grid every route cost is a whole
+    number of edges, so the bounded search settles exactly the viewpoints
+    within ``max_hops`` and no more."""
+
+    def test_a_central_row_settles_the_seven_hop_diamond(self):
+        graph = _grid(20)
+        source = "g10_10"  # 9 or more edges from every border
+        reach = _within_hops(graph, source, 7)
+        assert len(reach) == 1 + 4 * sum(range(1, 8)) == 113
+        assert len(_dijkstra_all(graph, source, reach)) == 113
+        assert len(_dijkstra_all(graph, source)) == 400
+
+    def test_sample_paths_settles_only_what_max_hops_reaches(self, monkeypatch):
+        graph = _grid(20)
+        settled = {}
+
+        def counting(graph, source, until=None):
+            best = _dijkstra_all(graph, source, until)
+            settled[source] = len(best)
+            return best
+
+        monkeypatch.setattr(nav_graph, "_dijkstra_all", counting)
+        result = sample_paths(graph, n=40, seed=3)
+        assert len(result.paths) == 40 and len(settled) > 40
+        points = [v.position for v in graph.viewpoints]
+        for source, count in settled.items():
+            x, y, _ = graph.position(source)
+            assert count == sum(abs(x - u) + abs(y - v) <= 7 for u, v, _ in points)
 
 
 class TestPathsJson:
