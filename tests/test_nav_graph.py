@@ -288,7 +288,8 @@ class TestSamplePaths:
 
 def eager_sample_paths(graph, n, seed, min_hops, max_hops, min_geodesic):
     """The documented sampling procedure with every source's eligible row
-    built before the first draw: the reference for ``sample_paths``."""
+    built before the first draw by an unbounded search: the reference for
+    ``sample_paths``, whose searches stop at ``max_hops``."""
     ids = sorted(v.id for v in graph.viewpoints if v.included)
     eligible = {}
     for a in ids:
