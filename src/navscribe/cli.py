@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 
@@ -313,8 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: load the config, compute the artifact, then write it
-    to ``--out``, so a command that fails writes nothing."""
+    to ``--out``, so a command that fails writes nothing.
+
+    From after argument parsing through the write, cyclic garbage collection
+    is paused: a command's records are acyclic, so reference counting frees
+    them all and a collection would only walk them. However the command ends,
+    collection is enabled again if it was enabled on entry."""
     args = _build_parser().parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         cfg = RunConfig() if args.config is None else load_config(_read(args.config))
         text, code = args.func(args, cfg)
@@ -326,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

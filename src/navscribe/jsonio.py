@@ -9,16 +9,19 @@ becomes an object of its fields in declaration order. Each container is one
 strings go through the C string encoder stdlib json itself uses.
 
 A list or tuple of two or more records of exactly one dataclass type, such
-as a dataset, renders field by field when every field holds one kind of
-value across the list: an exact str, an exact int, a finite float, or a
-non-empty array of exact strs. Each field then becomes one lazily mapped
-column of texts built by C-level ``map`` and ``join``, and each record is
-one ``%`` against a template built once for the list. ``zip`` pulls the
-columns record by record, so an int too long for ``str``, the one such value
-that can fail, raises where it would item by item. Any other list goes item
-by item, bools, None, subclasses, nested records, empty arrays, arrays of
-numbers, mixed kinds and non-finite floats among them, so errors keep their
-types and document order.
+as a dataset or a scene's objects, renders field by field when every field
+holds one kind of value across the list: an exact str, an exact int, a
+finite float, a non-empty array of exact strs, or non-empty arrays of exact
+finite floats that all have one length, such as a ``Vec3``. Each field then
+becomes one lazily mapped column of texts built by C-level ``map`` and
+``join``, and each record is one ``%`` against a template built once for the
+list; a float array's items are formatted in one flat ``map``, and each
+array is one ``%`` against a template with a slot per item. ``zip`` pulls
+the columns record by record, so an int too long for ``str``, the one such
+value that can fail, raises where it would item by item. Any other list goes
+item by item, bools, None, subclasses, nested records, empty arrays, arrays
+of ints, float arrays of two lengths, mixed kinds and non-finite floats
+among them, so errors keep their types and document order.
 
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
@@ -143,9 +146,10 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
 def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] | None:
     """A ``%`` slot and the lazily mapped texts of one field of every record,
     if the field holds one kind throughout: exact str, exact int or finite
-    float, or a non-empty array of exact strs. ``nl`` starts the field's
-    line. Anything else, such as a bool, a subclass, None, an empty array, an
-    array of numbers or mixed kinds, gives None."""
+    float, a non-empty array of exact strs, or non-empty arrays of exact
+    finite floats, all of one length. ``nl`` starts the field's line.
+    Anything else, such as a bool, a subclass, None, an empty array, an array
+    of ints, float arrays of two lengths or mixed kinds, gives None."""
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
@@ -156,11 +160,21 @@ def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] 
         return "%s", map(str, values)
     if kind is float and all(map(math.isfinite, values)):
         return "%s", map(format, values, repeat(float_fmt))
-    if ((kind is not list and kind is not tuple) or not all(values)
-            or set(map(type, chain.from_iterable(values))) != {str}):
+    if (kind is not list and kind is not tuple) or not all(values):
         return None
     inner = nl + "  "
-    return f"[{inner}%s{nl}]", map(("," + inner).join, map(map, repeat(_quote), values))
+    item_kinds = set(map(type, chain.from_iterable(values)))
+    if item_kinds == {str}:
+        return f"[{inner}%s{nl}]", map(("," + inner).join, map(map, repeat(_quote), values))
+    lengths = set(map(len, values))
+    if (item_kinds != {float} or len(lengths) != 1
+            or not all(map(math.isfinite, chain.from_iterable(values)))):
+        return None
+    # Every item formatted in one flat map, then each array one % of n of them.
+    n = lengths.pop()
+    texts = map(format, chain.from_iterable(values), repeat(float_fmt))
+    array = f"[{inner}{(',' + inner).join(repeat('%s', n))}{nl}]"
+    return "%s", map(array.__mod__, zip(*repeat(texts, n)))
 
 
 class JsonSchemaError(ValueError):

@@ -1,6 +1,7 @@
 """Shared builders and parsed bundled scenes for the test suite."""
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -57,6 +58,17 @@ def build_scene(objects, panoramas, scan: str = "mini", n_regions: int = 1) -> S
     panos = tuple(Panorama(name, i, region, pos)
                   for i, (name, region, pos) in enumerate(panoramas))
     return SceneModel(scan, tuple(categories), regions, tuple(scene_objects), panos)
+
+
+@pytest.fixture(autouse=True)
+def _gc_state_kept():
+    """Fail any test after which cyclic garbage collection is on where it
+    was off before it, or off where it was on; restore it for the next."""
+    before = gc.isenabled()
+    yield
+    if gc.isenabled() != before:
+        (gc.enable if before else gc.disable)()
+        pytest.fail(f"gc.isenabled() was {before} before the test and {not before} after it")
 
 
 @pytest.fixture

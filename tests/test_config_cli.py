@@ -1,12 +1,14 @@
 """Config parsing and the command line pipeline, run end to end on disk."""
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
 
 import pytest
 
+from navscribe import cli
 from navscribe.cli import main
 from navscribe.config import (AuxConfig, ConfigError, RunConfig, SamplerConfig,
                               load_config)
@@ -485,6 +487,44 @@ class TestCli:
             main(["ablate", "--dataset", "d.json", "--mode", "verbs",
                   "--out", "x.json"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("bad-input", 1), ("usage", 2), ("unknown-command", 2),
+    ])
+    def test_command_runs_with_gc_paused_and_restores_it(self, workdir, tmp_path, capsys,
+                                                         monkeypatch, case, code, enabled):
+        seen = []
+        real_parse_house = cli.parse_house
+
+        def parse_house(text):
+            seen.append(gc.isenabled())
+            return real_parse_house(text)
+
+        monkeypatch.setattr(cli, "parse_house", parse_house)
+        bad = tmp_path / "bad.house"
+        bad.write_text("ASCII 1.1\nH nothing\n", "utf-8")
+        out = ["--out", str(tmp_path / "scene.json")]
+        argv = {
+            "ok": ["parse-scene", "--house", str(workdir / "loop0.house"), *out],
+            "bad-input": ["parse-scene", "--house", str(bad), *out],
+            "usage": ["parse-scene", *out],
+            "unknown-command": ["no-such-command", *out],
+        }[case]
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exc:  # from argparse, before the pause
+                got = exc.code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        capsys.readouterr()
+        assert (got, after) == (code, enabled)
+        # The stage ran, if at all, with collection paused.
+        assert seen == ([False] if case in ("ok", "bad-input") else [])
 
     def test_sample_craft_validate_round_trip(self, workdir, tmp_path):
         paths = tmp_path / "paths.json"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from navscribe import jsonio
 from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import ConnectivityError, NavGraph, parse_connectivity, paths_from_json
-from navscribe.scene_metadata import read_scene_json
+from navscribe.scene_metadata import SceneObject, read_scene_json
 from navscribe.supervision_export import read_r2r_json, read_supervision_json
 
 
@@ -218,6 +218,8 @@ _FAST_KINDS = [
     st.integers(),
     _FINITE,
     st.lists(_ANY_TEXT, min_size=1, max_size=3).map(tuple),
+    *(st.lists(_FINITE, min_size=n, max_size=n).map(array)
+      for n in (1, 2, 3) for array in (list, tuple)),
 ]
 _OTHER_KINDS = [
     st.lists(_FINITE, min_size=1, max_size=3),
@@ -236,7 +238,8 @@ _OTHER_KINDS = [
 ]
 # Values that break a field's kind when one later record holds them.
 _BREAKERS = [math.nan, -math.inf, True, 0, 0.5, None, "s", (), ("t",), (0.25,), [1],
-             ((0.5,),), _Label("l"), _Metres(2.0), _One(1), frozenset()]
+             ((0.5,),), _Label("l"), _Metres(2.0), _One(1), frozenset(),
+             (0.5, 0.5), (1.0, 2.0, math.inf), [1.0, 2], (_Metres(1.0), 0.0, 0.0)]
 
 
 @st.composite
@@ -268,6 +271,13 @@ def _record_lists(draw):
 @example([_Three((), ("a",), 1), _Three(("b",), (), 2)], ".6f")
 @example([_Three(((1.0,),), ("a",), 1), _Three(((2.0,),), ("b",), 2)], ".6f")
 @example([_Three(1, {2: 3}, "a"), _Three(math.nan, 1.0, "b")], ".6f")
+@example([_Three((-0.0, 0.0), [-0.0], -0.0), _Three((0.0, -0.0), [0.0], 0.0)], ".6f")
+@example([_Three((0.5, 0.5, 0.5), [1.0], "a"), _Three((1.0, 2.0, math.inf), [math.nan], "b")],
+         ".6f")
+@example([_One((1e-7, -0.0, 2.5e300)), _One((math.pi, -1e-300, 12345.678))], ".3e")
+@example({"objects": [SceneObject(i, 0, i % 2, (0.5 * i, -1.25, 2.0), (1.0, 0.0, 0.0),
+                                  (0.0, 1.0, 0.0), (0.25, 0.5, 1e-7)) for i in range(3)]},
+         ".6f")
 def test_record_lists_render_as_item_by_item(value, float_fmt):
     expected = _outcome(lambda: _item_by_item(value, float_fmt))
     got = _outcome(lambda: jsonio.dumps(value, float_fmt=float_fmt))
