@@ -7,7 +7,7 @@ the loss arithmetic used to weigh the extra word-prediction tasks.
 """
 from __future__ import annotations
 
-from .aux_loss_math import (LossBreakdown, Vocab, WordTargets, gradient_check,
+from .aux_loss_math import (LossBreakdown, WordTargets, gradient_check,
                             grad_logits, log_softmax, nll, sequence_loss,
                             word_loss)
 from .config import (AuxConfig, ConfigError, FileConfig, RunConfig,
@@ -21,9 +21,9 @@ from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    evaluate_batch, execute, parse_crafted)
 from .jsonio import JsonSchemaError
 from .nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
-                        Viewpoint, geodesic_distance, neighbors,
-                        parse_connectivity, paths_from_json, paths_to_json,
-                        sample_paths, shortest_path)
+                        Viewpoint, geodesic_distance, parse_connectivity,
+                        paths_from_json, paths_to_json, sample_paths,
+                        shortest_path)
 from .object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
                               Scan, best_object, filter_candidates, observe,
                               side_of_travel)
@@ -41,8 +41,8 @@ from .supervision_export import (DatasetRecord, WordObjectSupervision,
 from .text_ablation import (AblationMode, LexiconError, ablate,
                             load_default_lexicon, load_lexicon)
 from .view_geometry import (FovConfig, ObservedObject, elevation_to,
-                            heading_is_degenerate, heading_to, in_fov,
-                            projected_area, relative_bearing, wrap_angle)
+                            heading_to, in_fov, projected_area,
+                            relative_bearing, wrap_angle)
 
 __version__ = "0.1.0"
 
@@ -56,18 +56,17 @@ __all__ = [
     "ObjectRef", "ObservedObject", "Panorama", "PathSpec", "Region", "Relation",
     "RenderSpec", "RunConfig", "SaliencyConfig", "SampleResult", "SamplerConfig",
     "Scan", "SceneJsonError", "SceneModel", "SceneObject", "SplitMix64", "Turn",
-    "Viewpoint", "Vocab", "WordObjectSupervision", "WordTargets",
+    "Viewpoint", "WordObjectSupervision", "WordTargets",
     "ablate", "align_words_to_nodes", "best_object", "build_supervision",
     "category_name", "classify_turn", "classify_vertical", "craft_instruction",
     "elevation_to", "emit_r2r_json", "emit_supervision_json", "evaluate",
     "evaluate_batch", "execute", "filter_candidates", "geodesic_distance",
-    "gradient_check", "grad_logits", "head_noun", "heading_is_degenerate",
-    "heading_to", "in_fov", "load_config", "load_default_lexicon",
-    "load_lexicon", "log_softmax", "make_atom", "neighbors", "nll", "observe",
-    "parse_connectivity", "parse_crafted", "parse_house", "paths_from_json",
-    "paths_to_json", "projected_area", "read_r2r_json", "read_scene_json",
-    "read_supervision_json", "relative_bearing", "render_atom",
-    "render_viewpoint", "sample_paths", "sequence_loss", "shortest_path",
-    "side_of_travel", "tokenize", "top_n_objects", "word_loss",
-    "wrap_angle", "write_scene_json",
+    "gradient_check", "grad_logits", "head_noun", "heading_to", "in_fov",
+    "load_config", "load_default_lexicon", "load_lexicon", "log_softmax",
+    "make_atom", "nll", "observe", "parse_connectivity", "parse_crafted",
+    "parse_house", "paths_from_json", "paths_to_json", "projected_area",
+    "read_r2r_json", "read_scene_json", "read_supervision_json",
+    "relative_bearing", "render_atom", "render_viewpoint", "sample_paths",
+    "sequence_loss", "shortest_path", "side_of_travel", "tokenize",
+    "top_n_objects", "word_loss", "wrap_angle", "write_scene_json",
 ]

@@ -19,35 +19,6 @@ GRAD_CHECK_TOLERANCE = 1e-6
 _FD_STEP = 1e-5
 
 
-class Vocab:
-    """Bijective token <-> index mapping with stable order."""
-
-    def __init__(self, tokens: Sequence[str]) -> None:
-        self._tokens = tuple(tokens)
-        self._index = {}
-        for i, token in enumerate(self._tokens):
-            if token in self._index:
-                raise ValueError(f"duplicate token {token!r}")
-            self._index[token] = i
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def index_of(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise ValueError(f"token {token!r} not in vocabulary") from None
-
-    def token_at(self, index: int) -> str:
-        if not 0 <= index < len(self._tokens):
-            raise ValueError(f"index {index} out of range ({len(self._tokens)} tokens)")
-        return self._tokens[index]
-
-
 @dataclass(frozen=True)
 class WordTargets:
     """Targets for one decoded word: 3 originals, object words, crafted word."""

@@ -20,8 +20,8 @@ from .instruction_crafter import craft_instruction
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, evaluate, evaluate_batch,
                                    execute, parse_crafted)
-from .nav_graph import (PathSpec, check_paths_on, parse_connectivity, paths_from_json,
-                        paths_to_json, sample_paths)
+from .nav_graph import (check_paths_on, parse_connectivity, paths_from_json, paths_to_json,
+                        sample_paths)
 from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
@@ -105,10 +105,10 @@ def _cmd_craft(args, cfg: RunConfig) -> tuple[str, int]:
         records.append(DatasetRecord(
             path_id=path_id,
             scan=path.scan,
-            heading=path.heading_0,
+            heading=path.heading,
             path=path.path,
             instructions=(crafted.text,),
-            distance=path.geodesic_length,
+            distance=path.distance,
         ))
     return emit_r2r_json(records), 0
 
@@ -120,9 +120,8 @@ def _cmd_supervise(args, cfg: RunConfig) -> tuple[str, int]:
     n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
     for i, record in enumerate(records):
-        path = PathSpec(record.scan, record.path, record.heading, record.distance)
         try:
-            supervisions.append(build_supervision(scan, path, record.instructions[0], n,
+            supervisions.append(build_supervision(scan, record, record.instructions[0], n,
                                                   path_id=record.path_id))
         except NoTokensError as exc:
             raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
@@ -150,7 +149,6 @@ def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
     metrics = []
     all_good = bool(records)
     for record in records:
-        gold = PathSpec(record.scan, record.path, record.heading, record.distance)
         try:
             atoms = parse_crafted(record.instructions[0])
             parse_ok = True
@@ -160,7 +158,7 @@ def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
             result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
                                      stopped=False, failure_reason="instruction did not parse")
         round_trip = parse_ok and result.stopped and result.path == record.path
-        metrics.append(evaluate(scan.graph, gold, result, args.success_radius))
+        metrics.append(evaluate(scan.graph, record, result, args.success_radius))
         all_good = all_good and parse_ok and round_trip
         rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
                      "round_trip": round_trip})

@@ -2,8 +2,9 @@
 
 Every path edge becomes one atomic clause (turn + motion + optional object
 anchor) and the path ends with a stop clause. The clause grammar is a closed
-template table; rendering is bijective so the executor can parse any crafted
-text back into the identical atom sequence.
+template table, stated once in ``render_atom``; the executor's parser is
+built from it, and rendering is bijective, so any crafted text parses back
+into the identical atom sequence.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ class CraftedInstruction:
 
 
 # ---------------------------------------------------------------------------
-# Template table (closed grammar; parse_crafted inverts it exactly)
+# Template table (closed grammar; parse_crafted is built from render_atom)
 # ---------------------------------------------------------------------------
 
 TURN_PREFIX = {
@@ -173,7 +174,7 @@ def stop_atom(scan: Scan, node: str, incoming_heading: float) -> AtomicInstructi
 
 def craft_instruction(scan: Scan, path: PathSpec) -> CraftedInstruction:
     """One atom per edge plus a stop atom, headings threaded in order."""
-    heading = path.heading_0
+    heading = path.heading
     atoms: list[AtomicInstruction] = []
     headings: list[float] = []
     for cur, nxt in zip(path.path, path.path[1:]):

@@ -1,29 +1,19 @@
 """Parse crafted instructions back into atoms and walk them on the graph.
 
-The executor is the self-check for the crafting grammar: parsing inverts the
-template table exactly, and execution re-walks the graph by scoring each
-neighbor against the expected bearing of the current atom's turn class, with
-a hard preference for neighbors whose best visible object matches the atom's
-object reference.
+The executor is the self-check for the crafting grammar: its parser is built
+from the template table, ``render_atom``, so it inverts exactly what crafting
+writes. Execution re-walks the graph by scoring each neighbor against the
+expected bearing of the current atom's turn class, with a hard preference for
+neighbors whose best visible object matches the atom's object reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .instruction_crafter import (
-    MOTION_CORE,
-    RELATION_SUFFIX,
-    STOP_AT,
-    STOP_PLAIN,
-    TURN_PREFIX,
-    AtomicInstruction,
-    Motion,
-    ObjectRef,
-    Turn,
-    make_atom,
-)
-from .nav_graph import NavGraph, PathSpec, geodesic_distance, neighbors
+from .instruction_crafter import (AtomicInstruction, Motion, ObjectRef, Turn,
+                                  make_atom, render_atom)
+from .nav_graph import NavGraph, PathSpec, geodesic_distance
 from .object_saliency import Relation, Scan, best_object
 from .view_geometry import heading_to, relative_bearing
 
@@ -67,8 +57,22 @@ class NavMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Parsing (exact inverse of the crafting templates)
+# Parsing (read off the crafting templates)
 # ---------------------------------------------------------------------------
+
+# The grammar, read off render_atom for every (turn, motion) pair make_atom
+# accepts. _PLAIN holds each pair's whole clause without an object. _HEADS
+# holds the text before an object's category for each pair and relation, and
+# each move's plain clause, which only an object phrase may extend (relation
+# None), longest first: the first head that starts a clause fixes the split.
+_PAIRS = [(turn, motion) for turn in Turn for motion in Motion
+          if motion is not Motion.STOP or turn is Turn.NONE]
+_PLAIN = {render_atom(turn, motion, None): (turn, motion) for turn, motion in _PAIRS}
+_HEADS = sorted(((render_atom(turn, motion, relation and ObjectRef("", relation)),
+                  turn, motion, relation)
+                 for turn, motion in _PAIRS for relation in (None, *Relation)
+                 if relation or motion is not Motion.STOP),
+                key=lambda head: len(head[0]), reverse=True)
 
 
 def parse_crafted(text: str) -> list[AtomicInstruction]:
@@ -85,52 +89,18 @@ def parse_crafted(text: str) -> list[AtomicInstruction]:
 
 
 def _parse_clause(clause: str, index: int) -> AtomicInstruction:
-    if clause == STOP_PLAIN:
-        return make_atom(Turn.NONE, Motion.STOP)
-    if clause.startswith(STOP_AT):
-        rest = clause[len(STOP_AT):]
-        for relation in (Relation.LEFT, Relation.RIGHT):
-            marker = f"{relation.value} of the "
-            if rest.startswith(marker):
-                return _stop_with(rest[len(marker):], relation, index, clause)
-        return _stop_with(rest, Relation.TOWARD, index, clause)
-
-    turn = Turn.NONE
-    rest = clause
-    for candidate, prefix in TURN_PREFIX.items():
-        if prefix and clause.startswith(prefix):
-            turn = candidate
-            rest = clause[len(prefix):]
-            break
-    if turn is Turn.NONE:
-        # No prefix, so the motion core itself was capitalized.
-        if not rest or not rest[0].isupper():
-            raise InstructionParseError("unrecognized clause", index, clause)
-        rest = rest[0].lower() + rest[1:]
-
-    for motion, core in MOTION_CORE.items():
-        if rest == core:
-            return make_atom(turn, motion)
-        if not rest.startswith(core):
-            continue
-        tail = rest[len(core):]
-        for relation, suffix in RELATION_SUFFIX.items():
-            if tail.startswith(suffix):
-                category = tail[len(suffix):]
-                if _valid_category(category):
-                    return make_atom(turn, motion, ObjectRef(category, relation))
-        raise InstructionParseError("unrecognized object phrase", index, clause)
+    pair = _PLAIN.get(clause)
+    if pair is not None:
+        return make_atom(*pair)
+    for head, turn, motion, relation in _HEADS:
+        if clause.startswith(head):
+            category = clause[len(head):]
+            if relation and category and category == category.strip():
+                return make_atom(turn, motion, ObjectRef(category, relation))
+            raise InstructionParseError(
+                "invalid stop object" if motion is Motion.STOP else "unrecognized object phrase",
+                index, clause)
     raise InstructionParseError("unrecognized clause", index, clause)
-
-
-def _stop_with(category: str, relation: Relation, index: int, clause: str) -> AtomicInstruction:
-    if not _valid_category(category):
-        raise InstructionParseError("invalid stop object", index, clause)
-    return make_atom(Turn.NONE, Motion.STOP, ObjectRef(category, relation))
-
-
-def _valid_category(category: str) -> bool:
-    return bool(category) and category == category.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +129,8 @@ def execute(scan: Scan, start: str, heading_0: float,
         if atom.motion is Motion.STOP:
             stopped = True
             break
-        nbr_ids = neighbors(graph, cur)
-        if not nbr_ids:
+        nbrs = graph.adjacency(cur)
+        if not nbrs:
             failure = f"stranded at {cur!r}: no neighbors to move to"
             break
         p_cur = graph.position(cur)
@@ -170,7 +140,7 @@ def execute(scan: Scan, start: str, heading_0: float,
         chosen = None
         chosen_score = math.inf
         chosen_heading = 0.0
-        for nbr in nbr_ids:  # sorted ascending, so strict < keeps the smaller id on ties
+        for nbr, _ in nbrs:  # sorted by id, so strict < keeps the smaller id on ties
             nbr_heading = heading_to(p_cur, graph.position(nbr))
             score = abs(relative_bearing(want, nbr_heading))
             if candidates is not None:
@@ -193,7 +163,8 @@ def execute(scan: Scan, start: str, heading_0: float,
 
 def evaluate(graph: NavGraph, gold: PathSpec, result: ExecutionResult,
              success_radius: float = DEFAULT_SUCCESS_RADIUS) -> NavMetrics:
-    """Path length, navigation error, success, and path-weighted success."""
+    """Path length, navigation error, success, and path-weighted success; of
+    ``gold`` only ``path`` and ``distance`` are read, so a DatasetRecord serves too."""
     if not success_radius >= 0.0:  # NaN too: no path would succeed
         raise ValueError(f"success_radius must be non-negative, got {success_radius}")
     pl = 0.0
@@ -201,8 +172,8 @@ def evaluate(graph: NavGraph, gold: PathSpec, result: ExecutionResult,
         pl += graph.edge_length(a, b)
     ne = geodesic_distance(graph, result.path[-1], gold.path[-1])
     sr = 1.0 if result.stopped and ne <= success_radius else 0.0
-    denom = max(pl, gold.geodesic_length)
-    spl = sr if denom == 0.0 else sr * gold.geodesic_length / denom
+    denom = max(pl, gold.distance)
+    spl = sr if denom == 0.0 else sr * gold.distance / denom
     return NavMetrics(pl=pl, ne=ne, sr=sr, spl=spl)
 
 

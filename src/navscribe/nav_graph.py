@@ -59,6 +59,7 @@ class NavGraph:
         return self.viewpoint(vid).position
 
     def adjacency(self, vid: str) -> tuple[tuple[str, float], ...]:
+        """(neighbor id, edge length) pairs of a viewpoint, sorted by id."""
         self.viewpoint(vid)
         return self._adj[vid]
 
@@ -110,15 +111,15 @@ def check_paths_on(graph: NavGraph, records, where: str) -> None:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A concrete path with its initial agent heading."""
+    """A concrete path with its initial agent heading: a paths file entry."""
 
     scan: str
     path: tuple[str, ...]
-    heading_0: float
-    geodesic_length: float
+    heading: float
+    distance: float
 
     def __post_init__(self) -> None:
-        check_route(self.path, self.heading_0, self.geodesic_length)
+        check_route(self.path, self.heading, self.distance)
 
     @property
     def hops(self) -> int:
@@ -127,10 +128,10 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Sampled paths plus how many requests could not be satisfied."""
+    """Unsatisfied requests plus the sampled paths: a whole paths file."""
 
-    paths: tuple[PathSpec, ...]
     shortfall: int
+    paths: tuple[PathSpec, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,6 @@ def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
         key = (a, b) if a <= b else (b, a)
         edges[key] = length
     return NavGraph(scan_id, viewpoints, edges)
-
-
-def neighbors(graph: NavGraph, vid: str) -> list[str]:
-    """Neighbor ids of a viewpoint, sorted ascending."""
-    return [nbr for nbr, _ in graph.adjacency(vid)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +348,7 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
         path, cost = row.pop(b)
         left -= 1
         out.append(PathSpec(graph.scan_id, path, k * math.pi / 6.0, cost))
-    return SampleResult(tuple(out), n - len(out))
+    return SampleResult(n - len(out), tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +358,14 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
 
 def paths_to_json(result: SampleResult) -> str:
     """Serialize sampled paths canonically (6-decimal numbers)."""
-    doc = {
-        "shortfall": result.shortfall,
-        "paths": [
-            {
-                "scan": p.scan,
-                "path": list(p.path),
-                "heading": p.heading_0,
-                "distance": p.geodesic_length,
-            }
-            for p in result.paths
-        ],
-    }
-    return jsonio.dumps(doc)
+    return jsonio.dumps(result)
 
 
 _PATHS_SCHEMA = jsonio.record(
-    lambda shortfall, paths: SampleResult(paths, shortfall),
+    SampleResult,
     shortfall=jsonio.integer,
     paths=jsonio.array(jsonio.record(
-        lambda scan, path, heading, distance: PathSpec(scan, path, heading, distance),
+        PathSpec,
         scan=jsonio.string,
         path=jsonio.array(jsonio.string, 1),
         heading=jsonio.number,

@@ -103,9 +103,10 @@ class NoTokensError(ValueError):
     """An instruction that has no tokens after tokenization."""
 
 
-def build_supervision(scan: Scan, path: PathSpec, instruction: str, n: int,
+def build_supervision(scan: Scan, path: PathSpec | DatasetRecord, instruction: str, n: int,
                       path_id: int = 0) -> WordObjectSupervision:
-    """Token-to-node alignment plus per-token object labels for one instruction."""
+    """Token-to-node alignment plus per-token object labels for one instruction;
+    of ``path`` only ``path.path`` is read, so a DatasetRecord serves too."""
     tokens = tokenize(instruction)
     if not tokens:
         raise NoTokensError("instruction has no tokens after tokenization")

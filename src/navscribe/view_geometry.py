@@ -49,11 +49,6 @@ def horizontal_distance(a: Vec3, b: Vec3) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def heading_is_degenerate(a: Vec3, b: Vec3) -> bool:
-    """True when b is directly above or below a, so no heading is defined."""
-    return b[0] - a[0] == 0.0 and b[1] - a[1] == 0.0
-
-
 def heading_to(a: Vec3, b: Vec3) -> float:
     """Heading from a toward b; 0.0 for the degenerate vertical case."""
     dx = b[0] - a[0]

@@ -100,7 +100,7 @@ def test_01_crafted_instructions_round_trip():
             if atoms != crafted.atoms:
                 failures.append(f"{name}: parse changed atoms for {path.path}")
                 continue
-            run = execute(scan, path.path[0], path.heading_0, atoms)
+            run = execute(scan, path.path[0], path.heading, atoms)
             if not (run.stopped and run.path == path.path):
                 failures.append(f"{name}: diverged on {path.path} -> {run.path}")
     elapsed = time.perf_counter() - started
@@ -172,7 +172,7 @@ def test_03_shortest_paths_match_exhaustive_search():
             checked += 1
             spec = shortest_path(graph, a, b)
             expected = _brute_force_min(positions, edges, a, b)
-            got = math.inf if spec is None else spec.geodesic_length
+            got = math.inf if spec is None else spec.distance
             if got != expected:
                 failures.append(f"graph {g} {a}->{b}: {got} != {expected}")
     _verdict(3, f"{checked} node pairs across 25 random graphs match "

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navscribe.aux_loss_math import (GRAD_CHECK_TOLERANCE, LossBreakdown, Vocab,
+from navscribe.aux_loss_math import (GRAD_CHECK_TOLERANCE, LossBreakdown,
                                      WordTargets, finite_difference_grad,
                                      grad_logits, gradient_check, log_softmax,
                                      nll, sequence_loss, word_loss)
@@ -234,20 +234,3 @@ def test_pure_python_matches_numpy_reference(values, data, lam, beta):
         assert np.allclose(log_softmax(logits), ref_log_probs, rtol=0.0, atol=1e-12)
         assert np.allclose(grad_logits(logits, targets, lam=lam, beta=beta), ref_grad,
                            rtol=0.0, atol=1e-12)
-
-
-class TestVocab:
-    def test_round_trip(self):
-        vocab = Vocab(["walk", "straight", "stop"])
-        assert len(vocab) == 3
-        assert vocab.index_of("stop") == 2
-        assert vocab.token_at(2) == "stop"
-        assert "walk" in vocab and "run" not in vocab
-
-    def test_duplicate_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            Vocab(["a", "a"])
-
-    def test_unknown_token(self):
-        with pytest.raises(ValueError, match="not in vocabulary"):
-            Vocab(["a"]).index_of("b")

@@ -488,8 +488,8 @@ _OTHER_READERS = {
     "supervision": (read_supervision_json, emit_supervision_json([
         WordObjectSupervision(i, ("go", "left")[:i], (0, 1)[:i], (("chair", "sofa"), ())[:i])
         for i in range(3)])),
-    "paths": (paths_from_json, paths_to_json(SampleResult(tuple(
-        PathSpec("s", ("a", "b", "a")[:i + 1], 0.5, float(i)) for i in range(3)), 0))),
+    "paths": (paths_from_json, paths_to_json(SampleResult(0, tuple(
+        PathSpec("s", ("a", "b", "a")[:i + 1], 0.5, float(i)) for i in range(3))))),
 }
 
 

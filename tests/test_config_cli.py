@@ -657,4 +657,4 @@ class TestCli:
                   "--seed", "13", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
         spec = paths_from_json(a.read_text("utf-8")).paths[0]
-        assert math.isfinite(spec.geodesic_length)
+        assert math.isfinite(spec.distance)

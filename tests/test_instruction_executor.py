@@ -98,7 +98,7 @@ class TestExecute:
         path = shortest_path(graph, "loop0_vp01", "loop0_vp07")
         scan = Scan(scene, graph, saliency)
         crafted = craft_instruction(scan, path)
-        result = execute(scan, path.path[0], path.heading_0, list(crafted.atoms))
+        result = execute(scan, path.path[0], path.heading, list(crafted.atoms))
         assert result.stopped
         assert result.path == path.path
         assert result.failure_reason is None

@@ -196,7 +196,7 @@ class TestScan:
         for path in sample_paths(scan.graph, n=20, seed=7).paths:
             crafted = craft_instruction(scan, path)
             build_supervision(scan, path, crafted.text, n=2)
-            execute(scan, path.path[0], path.heading_0, parse_crafted(crafted.text))
+            execute(scan, path.path[0], path.heading, parse_crafted(crafted.text))
         assert seen
         assert len(seen) == len(set(seen))
 

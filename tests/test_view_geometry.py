@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from navscribe.view_geometry import (FovConfig, elevation_to, heading_is_degenerate,
+from navscribe.view_geometry import (FovConfig, elevation_to,
                                      heading_to, horizontal_distance, in_fov,
                                      projected_area, relative_bearing, wrap_angle)
 
@@ -29,7 +29,6 @@ class TestHeading:
 
     def test_degenerate_vertical_pair(self):
         above = (0.0, 0.0, 4.0)
-        assert heading_is_degenerate(ORIGIN, above)
         assert heading_to(ORIGIN, above) == 0.0
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
