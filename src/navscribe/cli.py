@@ -45,20 +45,20 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _resolve(flag_value: str | None, cfg_value: str | None, what: str) -> str:
-    if flag_value is not None:
-        return flag_value
-    if cfg_value is not None:
-        return cfg_value
-    raise UsageError(f"missing {what}; pass the flag or set it in the config file")
+def _need(value: str | None, what: str) -> str:
+    if value is None:
+        raise UsageError(f"missing {what}; pass the flag or set it in the config file")
+    return value
 
 
-def _with_flags(section, args):
-    """The config section with each field whose flag was given replaced by
-    the flag's value; flag dests are named after the section's fields."""
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(section)
-             if getattr(args, f.name, None) is not None}
-    return dataclasses.replace(section, **given)
+def _overlay(cfg: RunConfig, flags: dict) -> RunConfig:
+    """``cfg`` with each flag laid over its key; a config-backed flag's dest
+    names its RunConfig field as ``section.field``."""
+    for dest, value in flags.items():
+        section, name = dest.split(".")
+        part = dataclasses.replace(getattr(cfg, section), **{name: value})
+        cfg = dataclasses.replace(cfg, **{section: part})
+    return cfg
 
 
 def _load_scene(path: str) -> SceneModel:
@@ -69,9 +69,9 @@ def _load_scene(path: str) -> SceneModel:
     return parse_house(text)
 
 
-def _load_scan(args, cfg: RunConfig) -> Scan:
-    scene = _load_scene(_resolve(args.house, cfg.files.scene, "scene file (--house)"))
-    conn = _resolve(args.connectivity, cfg.files.graph, "connectivity file (--connectivity)")
+def _load_scan(cfg: RunConfig) -> Scan:
+    scene = _load_scene(_need(cfg.files.scene, "scene file (--house)"))
+    conn = _need(cfg.files.graph, "connectivity file (--connectivity)")
     graph = parse_connectivity(_read(conn), scan_id=scene.scan_id)
     return Scan(scene, graph, cfg.saliency)
 
@@ -81,58 +81,48 @@ def _load_scan(args, cfg: RunConfig) -> Scan:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse_scene(args, cfg: RunConfig) -> tuple[str, int]:
-    scene = parse_house(_read(_resolve(args.house, cfg.files.scene, "scene file (--house)")))
+def _cmd_parse_scene(cfg: RunConfig) -> tuple[str, int]:
+    scene = parse_house(_read(_need(cfg.files.scene, "scene file (--house)")))
     return write_scene_json(scene), 0
 
 
-def _cmd_sample_paths(args, cfg: RunConfig) -> tuple[str, int]:
-    result = sample_paths(_load_scan(args, cfg).graph,
-                          **dataclasses.asdict(_with_flags(cfg.sampler, args)))
+def _cmd_sample_paths(cfg: RunConfig) -> tuple[str, int]:
+    result = sample_paths(_load_scan(cfg).graph, **dataclasses.asdict(cfg.sampler))
     if result.shortfall:
         print(f"warning: {result.shortfall} fewer paths than requested", file=sys.stderr)
     return paths_to_json(result), 0
 
 
-def _cmd_craft(args, cfg: RunConfig) -> tuple[str, int]:
-    scan = _load_scan(args, cfg)
-    sample = paths_from_json(_read(_resolve(args.paths, cfg.files.paths,
-                                            "sampled paths file (--paths)")))
+def _cmd_craft(cfg: RunConfig) -> tuple[str, int]:
+    scan = _load_scan(cfg)
+    sample = paths_from_json(_read(_need(cfg.files.paths, "sampled paths file (--paths)")))
     check_paths_on(scan.graph, sample.paths, "$.paths")
-    records = []
-    for path_id, path in enumerate(sample.paths):
-        crafted = craft_instruction(scan, path)
-        records.append(DatasetRecord(
-            path_id=path_id,
-            scan=path.scan,
-            heading=path.heading,
-            path=path.path,
-            instructions=(crafted.text,),
-            distance=path.distance,
-        ))
+    records = [DatasetRecord(path_id=path_id, scan=path.scan, heading=path.heading, path=path.path,
+                             instructions=(craft_instruction(scan, path).text,),
+                             distance=path.distance)
+               for path_id, path in enumerate(sample.paths)]
     return emit_r2r_json(records), 0
 
 
-def _cmd_supervise(args, cfg: RunConfig) -> tuple[str, int]:
-    scan = _load_scan(args, cfg)
-    records = read_r2r_json(_read(args.dataset))
+def _cmd_supervise(cfg: RunConfig, dataset: str) -> tuple[str, int]:
+    scan = _load_scan(cfg)
+    records = read_r2r_json(_read(dataset))
     check_paths_on(scan.graph, records, "$")
-    n = _with_flags(cfg.aux, args).n_objects
     supervisions = []
     for i, record in enumerate(records):
         try:
-            supervisions.append(build_supervision(scan, record, record.instructions[0], n,
-                                                  path_id=record.path_id))
+            supervisions.append(build_supervision(scan, record, record.instructions[0],
+                                                  cfg.aux.n_objects, path_id=record.path_id))
         except NoTokensError as exc:
             raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
     return emit_supervision_json(supervisions), 0
 
 
-def _cmd_ablate(args, cfg: RunConfig) -> tuple[str, int]:
-    lexicon_path = args.lexicon if args.lexicon is not None else cfg.files.lexicon
-    lexicon = load_default_lexicon() if lexicon_path is None else load_lexicon(_read(lexicon_path))
-    mode = AblationMode(args.mode)
-    records = read_r2r_json(_read(args.dataset))
+def _cmd_ablate(cfg: RunConfig, dataset: str, mode: str) -> tuple[str, int]:
+    path = cfg.files.lexicon
+    lexicon = load_default_lexicon() if path is None else load_lexicon(_read(path))
+    mode = AblationMode(mode)
+    records = read_r2r_json(_read(dataset))
     ablated = [
         dataclasses.replace(r, instructions=tuple(ablate(text, mode, lexicon)
                                                   for text in r.instructions))
@@ -141,13 +131,12 @@ def _cmd_ablate(args, cfg: RunConfig) -> tuple[str, int]:
     return emit_r2r_json(ablated), 0
 
 
-def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
-    scan = _load_scan(args, cfg)
-    records = read_r2r_json(_read(args.dataset))
+def _cmd_validate(cfg: RunConfig, dataset: str, success_radius: float) -> tuple[str, int]:
+    scan = _load_scan(cfg)
+    records = read_r2r_json(_read(dataset))
     check_paths_on(scan.graph, records, "$")
     rows = []
     metrics = []
-    all_good = bool(records)
     for record in records:
         try:
             atoms = parse_crafted(record.instructions[0])
@@ -157,42 +146,33 @@ def _cmd_validate(args, cfg: RunConfig) -> tuple[str, int]:
             parse_ok = False
             result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
                                      stopped=False, failure_reason="instruction did not parse")
-        round_trip = parse_ok and result.stopped and result.path == record.path
-        metrics.append(evaluate(scan.graph, record, result, args.success_radius))
-        all_good = all_good and parse_ok and round_trip
+        metrics.append(evaluate(scan.graph, record, result, success_radius))
         rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
-                     "round_trip": round_trip})
-    aggregate = evaluate_batch(metrics) if metrics else None
+                     "round_trip": parse_ok and result.stopped and result.path == record.path})
+    round_trips = sum(row["round_trip"] for row in rows)
     report = {
         "count": len(records),
-        "round_trip_rate": (sum(1 for r in rows if r["round_trip"]) / len(rows)) if rows else 0.0,
-        "metrics": {
-            "pl": aggregate.pl, "ne": aggregate.ne,
-            "sr": aggregate.sr, "spl": aggregate.spl,
-        } if aggregate else None,
+        "round_trip_rate": round_trips / len(rows) if rows else 0.0,
+        "metrics": evaluate_batch(metrics) if metrics else None,
         "paths": rows,
     }
-    return jsonio.dumps(report), 0 if all_good else 1
+    return jsonio.dumps(report), 0 if rows and round_trips == len(rows) else 1
 
 
-def _cmd_render(args, cfg: RunConfig) -> tuple[str, int]:
-    scan = _load_scan(args, cfg)
-    spec = RenderSpec(viewpoint=args.viewpoint, radius=args.radius,
-                      width=args.width, height=args.height)
-    return render_viewpoint(scan.scene, scan.graph, spec), 0
+def _cmd_render(cfg: RunConfig, **spec) -> tuple[str, int]:
+    scan = _load_scan(cfg)
+    return render_viewpoint(scan.scene, scan.graph, RenderSpec(**spec)), 0
 
 
-def _cmd_loss_check(args, cfg: RunConfig) -> tuple[str, int]:
-    report = gradient_check(instances=args.instances, seed=args.seed,
-                            max_vocab=args.max_vocab, lam=cfg.aux.lam,
-                            n_objects=cfg.aux.n_objects, beta=cfg.aux.beta)
+def _cmd_loss_check(cfg: RunConfig, **flags) -> tuple[str, int]:
+    report = gradient_check(**flags, **dataclasses.asdict(cfg.aux))
     # Relative errors sit far below 1e-6, so fixed six-decimal floats would
     # flatten them to zero; the report uses scientific notation instead.
     return jsonio.dumps(report, float_fmt=".3e"), 0 if report["passed"] else 1
 
 
-def _cmd_stats(args, cfg: RunConfig) -> tuple[str, int]:
-    records = read_r2r_json(_read(args.dataset))
+def _cmd_stats(cfg: RunConfig, dataset: str) -> tuple[str, int]:
+    records = read_r2r_json(_read(dataset))
     # One pass that keeps no token list: the counts are integers, so the
     # means are the same as from the lists.
     n_instructions = n_tokens = 0
@@ -233,6 +213,12 @@ def _mean(values: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _keyed(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """Add ``flag`` over config field ``key`` (``section.field``), with the
+    metavar argparse would derive from the flag."""
+    parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="navscribe",
@@ -241,36 +227,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--out", help="output file path")
+    _keyed(common, "--out", "files.out", help="output file path")
     scene_io = argparse.ArgumentParser(add_help=False)
-    scene_io.add_argument("--house", help="scene file (.house text or scene JSON)")
-    scene_io.add_argument("--connectivity", help="connectivity JSON file")
+    _keyed(scene_io, "--house", "files.scene", help="scene file (.house text or scene JSON)")
+    _keyed(scene_io, "--connectivity", "files.graph", help="connectivity JSON file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse-scene", parents=[common],
                        help="parse a .house file into canonical scene JSON")
-    p.add_argument("--house", help="scene .house file")
+    _keyed(p, "--house", "files.scene", help="scene .house file")
     p.set_defaults(func=_cmd_parse_scene)
 
     p = sub.add_parser("sample-paths", parents=[common, scene_io],
                        help="sample shortest paths from the graph")
-    p.add_argument("--n", type=int, help="number of paths to sample")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--min-hops", type=int)
-    p.add_argument("--max-hops", type=int)
-    p.add_argument("--min-geodesic", type=float)
+    _keyed(p, "--n", "sampler.n", type=int, help="number of paths to sample")
+    _keyed(p, "--seed", "sampler.seed", type=int, help="random seed")
+    _keyed(p, "--min-hops", "sampler.min_hops", type=int)
+    _keyed(p, "--max-hops", "sampler.max_hops", type=int)
+    _keyed(p, "--min-geodesic", "sampler.min_geodesic", type=float)
     p.set_defaults(func=_cmd_sample_paths)
 
     p = sub.add_parser("craft", parents=[common, scene_io],
                        help="write instructions for sampled paths")
-    p.add_argument("--paths", help="sampled paths JSON file")
+    _keyed(p, "--paths", "files.paths", help="sampled paths JSON file")
     p.set_defaults(func=_cmd_craft)
 
     p = sub.add_parser("supervise", parents=[common, scene_io],
                        help="emit per-token object supervision for a dataset")
     p.add_argument("--dataset", required=True, help="dataset JSON file")
-    p.add_argument("--n-objects", type=int, help="object labels per token")
+    _keyed(p, "--n-objects", "aux.n_objects", type=int, help="object labels per token")
     p.set_defaults(func=_cmd_supervise)
 
     p = sub.add_parser("ablate", parents=[common],
@@ -278,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset JSON file")
     p.add_argument("--mode", required=True,
                    choices=[mode.value for mode in AblationMode])
-    p.add_argument("--lexicon", help="word TAB tag lexicon file")
+    _keyed(p, "--lexicon", "files.lexicon", help="word TAB tag lexicon file")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("validate", parents=[common, scene_io],
@@ -290,16 +276,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", parents=[common, scene_io],
                        help="draw the surroundings of one viewpoint as SVG")
     p.add_argument("--viewpoint", required=True)
-    p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=800)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("loss-check", parents=[common],
                        help="verify loss gradients against finite differences")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-vocab", type=int, default=16)
+    p.add_argument("--instances", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-vocab", type=int)
     p.set_defaults(func=_cmd_loss_check)
 
     p = sub.add_parser("stats", parents=[common],
@@ -311,20 +297,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: load the config, compute the artifact, then write it
-    to ``--out``, so a command that fails writes nothing.
+    """Run one command: load the config, lay the flags given over it, compute
+    the artifact, then write it to ``--out``, so a command that fails writes
+    nothing. A flag left out is not passed on, so its key or the library's
+    default applies.
 
     From after argument parsing through the write, cyclic garbage collection
     is paused: a command's records are acyclic, so reference counting frees
     them all and a collection would only walk them. However the command ends,
     collection is enabled again if it was enabled on entry."""
-    args = _build_parser().parse_args(argv)
+    given = {dest: value for dest, value in vars(_build_parser().parse_args(argv)).items()
+             if value is not None}
+    command, config = given.pop("func"), given.pop("config", None)
+    del given["command"]
+    keyed = {dest: given.pop(dest) for dest in [dest for dest in given if "." in dest]}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        cfg = RunConfig() if args.config is None else load_config(_read(args.config))
-        text, code = args.func(args, cfg)
-        _write(_resolve(args.out, cfg.files.out, "output file (--out)"), text)
+        cfg = _overlay(RunConfig() if config is None else load_config(_read(config)), keyed)
+        text, code = command(cfg, **given)
+        _write(_need(cfg.files.out, "output file (--out)"), text)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ class AtomicInstruction:
 class CraftedInstruction:
     atoms: tuple[AtomicInstruction, ...]
     text: str
-    headings: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +102,16 @@ def render_atom(turn: Turn, motion: Motion, object_ref: ObjectRef | None) -> str
 def make_atom(turn: Turn, motion: Motion, object_ref: ObjectRef | None = None) -> AtomicInstruction:
     if motion is Motion.STOP and turn is not Turn.NONE:
         raise ValueError("stop atoms carry no turn")
-    if object_ref is not None and not object_ref.category.strip():
-        raise ValueError("object reference category must be non-empty")
+    if object_ref is not None:
+        category = object_ref.category
+        if not category.strip():
+            raise ValueError("object reference category must be non-empty")
+        # The parser splits clauses at ". ", takes no edge whitespace, and
+        # reads "Stop right at the left of the x" as a stop at a side.
+        if (category != category.strip() or ". " in category
+                or motion is Motion.STOP and object_ref.relation is Relation.TOWARD
+                and category.startswith(("left of the ", "right of the "))):
+            raise ValueError(f"object reference category {category!r} would not parse back")
     return AtomicInstruction(turn, motion, object_ref, render_atom(turn, motion, object_ref))
 
 
@@ -176,12 +183,9 @@ def craft_instruction(scan: Scan, path: PathSpec) -> CraftedInstruction:
     """One atom per edge plus a stop atom, headings threaded in order."""
     heading = path.heading
     atoms: list[AtomicInstruction] = []
-    headings: list[float] = []
     for cur, nxt in zip(path.path, path.path[1:]):
         atom, heading = atomic_for_edge(scan, cur, nxt, heading)
         atoms.append(atom)
-        headings.append(heading)
     atoms.append(stop_atom(scan, path.path[-1], heading))
-    headings.append(heading)
     text = ". ".join(a.text for a in atoms) + "."
-    return CraftedInstruction(tuple(atoms), text, tuple(headings))
+    return CraftedInstruction(tuple(atoms), text)

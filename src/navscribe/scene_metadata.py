@@ -93,15 +93,6 @@ class SceneObject:
     axis1: Vec3
     radii: Vec3
 
-    def axis2(self) -> Vec3:
-        """Third box axis, the cross product of axis0 and axis1."""
-        a, b = self.axis0, self.axis1
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-
 
 @dataclass(frozen=True)
 class Panorama:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from navscribe import fixtures
 from navscribe.instruction_crafter import (MOTION_CORE, RELATION_SUFFIX, STOP_AT,
                                            STOP_PLAIN, TURN_PREFIX, Motion, ObjectRef,
-                                           Turn, make_atom)
+                                           Turn, make_atom, render_atom)
 from navscribe.instruction_executor import InstructionParseError, parse_crafted
 from navscribe.object_saliency import Relation
 from navscribe.scene_metadata import parse_house, read_scene_json, write_scene_json
@@ -127,10 +127,12 @@ _stop_shaped = st.tuples(
     st.sampled_from([""] + _CATEGORIES),
 ).map("".join)
 _loose = st.lists(st.one_of(_FRAGMENTS, _JUNK), max_size=5).map("".join)
-# Rendered clauses, so that later clauses of a text are reached too.
+# Rendered clauses, so that later clauses of a text are reached too. They
+# come from the templates alone: make_atom refuses a stop toward "left of the
+# sofa", whose text reads as a stop at the left of the sofa.
 _rendered = st.builds(
-    lambda pair, relation, category: make_atom(
-        *pair, None if relation is None else ObjectRef(category, relation)).text,
+    lambda pair, relation, category: render_atom(
+        *pair, None if relation is None else ObjectRef(category, relation)),
     st.sampled_from(_PAIRS), st.sampled_from(_RELATIONS),
     st.sampled_from(["sofa", "chest of drawers", "left of the sofa", "sofa."]))
 _clauses = st.one_of(_rendered, _shaped, _stop_shaped, _loose)

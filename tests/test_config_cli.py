@@ -1,20 +1,25 @@
 """Config parsing and the command line pipeline, run end to end on disk."""
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import gc
+import inspect
 import json
 import math
 import time
 
 import pytest
 
-from navscribe import cli
+from navscribe import cli, jsonio
+from navscribe.aux_loss_math import gradient_check
 from navscribe.cli import main
 from navscribe.config import (AuxConfig, ConfigError, RunConfig, SamplerConfig,
                               load_config)
 from navscribe.fixtures import all_scenes, write_scene_files
-from navscribe.nav_graph import paths_from_json
-from navscribe.scene_metadata import read_scene_json
+from navscribe.nav_graph import parse_connectivity, paths_from_json
+from navscribe.render_svg import RenderSpec, render_viewpoint
+from navscribe.scene_metadata import parse_house, read_scene_json
 from navscribe.supervision_export import read_r2r_json
 
 
@@ -145,6 +150,24 @@ def _loop_args(root):
             "--connectivity", str(root / "loop0_connectivity.json")]
 
 
+# Each config-backed flag: (command, flag, key, its RunConfig field, the key's
+# value, the flag's value). File values name files in tmp_path.
+_KEYED = [
+    ("parse-scene", "--house", "scene", "files.scene", "a", "b"),
+    ("sample-paths", "--house", "scene", "files.scene", "a", "b"),
+    ("sample-paths", "--connectivity", "graph", "files.graph", "a", "b"),
+    ("craft", "--paths", "paths", "files.paths", "a", "b"),
+    ("ablate", "--lexicon", "lexicon", "files.lexicon", "a", "b"),
+    ("stats", "--out", "out", "files.out", "a", "b"),
+    ("sample-paths", "--n", "n_paths", "sampler.n", 3, 5),
+    ("sample-paths", "--seed", "seed", "sampler.seed", 3, 42),
+    ("sample-paths", "--min-hops", "min_hops", "sampler.min_hops", 2, 3),
+    ("sample-paths", "--max-hops", "max_hops", "sampler.max_hops", 9, 6),
+    ("sample-paths", "--min-geodesic", "min_geodesic", "sampler.min_geodesic", 2.5, 1.25),
+    ("supervise", "--n-objects", "n_objects", "aux.n_objects", 3, 1),
+]
+
+
 class TestCli:
     def test_parse_scene(self, workdir, tmp_path):
         out = tmp_path / "scene.json"
@@ -247,6 +270,12 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == "error: n_objects must be at least 1, got -1\n"
         assert not out_file.exists()
+
+    def test_n_objects_flag_below_one_is_reported_before_any_input(self, tmp_path, capsys):
+        code = main(["supervise", "--dataset", str(tmp_path / "missing.json"),
+                     "--n-objects", "0", "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (1, "error: n_objects must be at least 1, "
+                                                      "got 0\n")
 
     def test_untokenizable_instruction_is_located_error(self, workdir, tmp_path, capsys):
         paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
@@ -649,6 +678,89 @@ class TestCli:
                      "--seed", "42", "--out", str(flags_only)]) == 0
         assert len(paths_from_json(from_config.read_text("utf-8")).paths) == 2
         assert overridden.read_bytes() == flags_only.read_bytes()
+
+    @pytest.mark.parametrize("command,flag,key,field,key_value,flag_value", _KEYED,
+                             ids=[f"{case[0]}{case[1][1:]}" for case in _KEYED])
+    def test_each_flag_wins_over_its_key(self, tmp_path, monkeypatch, command, flag, key,
+                                         field, key_value, flag_value):
+        seen = []
+
+        def spy(cfg, **flags):
+            seen.append(cfg)
+            return "", 0
+
+        monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), spy)
+        if field.startswith("files."):
+            for name in (key_value, flag_value):
+                (tmp_path / name).write_text("", "utf-8")
+            key_value, flag_value = str(tmp_path / key_value), str(tmp_path / flag_value)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {key_value}\n", "utf-8")
+        argv = [command, "--config", str(cfg),
+                *{"supervise": ["--dataset", "d.json"], "stats": ["--dataset", "d.json"],
+                  "ablate": ["--dataset", "d.json", "--mode", "all"]}.get(command, [])]
+        if flag != "--out":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert main([*argv, flag, str(flag_value)]) == 0
+        section, name = field.split(".")
+        assert [getattr(getattr(c, section), name) for c in seen] == [key_value, flag_value]
+        assert all(c == dataclasses.replace(seen[0], **{section: getattr(c, section)})
+                   for c in seen)  # the flag changed its own field only
+
+    def test_loss_check_seed_is_not_the_sampler_seed(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(cfg, **flags):
+            seen.append((cfg.sampler, flags))
+            return "", 0
+
+        monkeypatch.setattr(cli, "_cmd_loss_check", spy)
+        assert main(["loss-check", "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+        assert seen == [(SamplerConfig(), {"seed": 3})]
+
+    def test_every_dest_names_what_it_sets(self):
+        """Each config-backed dest is ``section.field`` of RunConfig; every
+        other dest is a parameter of its command, or for ``render`` and
+        ``loss-check``, of the library call that takes the flags given."""
+        parser = cli._build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        library = {"render": {f.name for f in dataclasses.fields(RenderSpec)},
+                   "loss-check": set(inspect.signature(gradient_check).parameters)
+                   - {f.name for f in dataclasses.fields(AuxConfig)}}
+        keyed = set()
+        for command, sub in commands.items():
+            for action in sub._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                if "." in action.dest:
+                    section, name = action.dest.split(".")
+                    assert name in {f.name for f in dataclasses.fields(
+                        getattr(RunConfig(), section))}, (command, action.dest)
+                    assert action.dest.upper() not in sub.format_help()
+                    keyed.add(action.option_strings[0])
+                elif command in library:
+                    assert action.dest in library[command], (command, action.dest)
+                else:
+                    assert action.dest in inspect.signature(
+                        sub.get_default("func")).parameters, (command, action.dest)
+        assert keyed == {"--house", "--connectivity", "--paths", "--lexicon", "--out", "--n",
+                         "--seed", "--min-hops", "--max-hops", "--min-geodesic",
+                         "--n-objects"}
+
+    def test_render_and_loss_check_take_the_library_defaults(self, workdir, tmp_path):
+        svg, report = tmp_path / "view.svg", tmp_path / "loss.json"
+        assert main(["render", *_loop_args(workdir), "--viewpoint", "loop0_vp00",
+                     "--out", str(svg)]) == 0
+        scene = parse_house((workdir / "loop0.house").read_text("utf-8"))
+        graph = parse_connectivity((workdir / "loop0_connectivity.json").read_text("utf-8"),
+                                   scan_id=scene.scan_id)
+        assert svg.read_bytes() == render_viewpoint(
+            scene, graph, RenderSpec("loop0_vp00")).encode("utf-8")
+        assert main(["loss-check", "--out", str(report)]) == 0
+        assert report.read_bytes() == jsonio.dumps(
+            gradient_check(**dataclasses.asdict(AuxConfig())), float_fmt=".3e").encode("utf-8")
 
     def test_repeat_runs_are_byte_identical(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

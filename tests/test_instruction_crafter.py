@@ -4,11 +4,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_graph, build_scene
-from navscribe.instruction_crafter import (Motion, ObjectRef, Turn, atomic_for_edge,
-                                           classify_turn, classify_vertical,
+from navscribe.instruction_crafter import (MOTION_CORE, RELATION_SUFFIX, STOP_AT,
+                                           STOP_PLAIN, TURN_PREFIX, Motion, ObjectRef, Turn,
+                                           atomic_for_edge, classify_turn, classify_vertical,
                                            craft_instruction, make_atom, render_atom)
+from navscribe.instruction_executor import parse_crafted
 from navscribe.nav_graph import PathSpec, shortest_path
 from navscribe.object_saliency import Relation, Scan
 
@@ -78,6 +82,55 @@ class TestTemplates:
         with pytest.raises(ValueError):
             make_atom(Turn.NONE, Motion.WALK_STRAIGHT, ObjectRef(" ", Relation.TOWARD))
 
+    @pytest.mark.parametrize("motion,category,relation", [
+        (Motion.STOP, "left of the sofa", Relation.TOWARD),
+        (Motion.STOP, "right of the sofa", Relation.TOWARD),
+        (Motion.WALK_STRAIGHT, "a. b", Relation.TOWARD),
+        (Motion.STOP, "a. b", Relation.LEFT),
+        (Motion.WALK_STRAIGHT, "sofa ", Relation.RIGHT),
+        (Motion.GO_UP, " sofa", Relation.TOWARD),
+    ])
+    def test_make_atom_rejects_category_that_would_not_parse_back(self, motion, category,
+                                                                   relation):
+        with pytest.raises(ValueError, match="would not parse back"):
+            make_atom(Turn.NONE, motion, ObjectRef(category, relation))
+
+    @pytest.mark.parametrize("motion,relation", [
+        (Motion.STOP, Relation.LEFT), (Motion.STOP, Relation.RIGHT),
+        (Motion.WALK_STRAIGHT, Relation.TOWARD), (Motion.GO_DOWN, Relation.LEFT),
+    ])
+    def test_side_phrase_category_parses_back_outside_a_stop_toward(self, motion, relation):
+        atom = make_atom(Turn.NONE, motion, ObjectRef("left of the sofa", relation))
+        assert parse_crafted(atom.text + ".") == [atom]
+
+
+# Categories assembled from the grammar's own text, where a bijection break
+# would hide: clause heads, side phrases, the ". " separator and spaces.
+_FRAGMENTS = st.sampled_from(
+    [prefix for prefix in TURN_PREFIX.values() if prefix] + list(MOTION_CORE.values())
+    + list(RELATION_SUFFIX.values())
+    + [STOP_PLAIN, STOP_AT, "left of the ", "right of the ", "left of the", "sofa", "the",
+       ". ", ".", " ", "a"])
+_CATEGORIES = st.tuples(st.sampled_from(["", "left of the ", "right of the "]),
+                        st.lists(_FRAGMENTS, min_size=1, max_size=3)).map(
+    lambda parts: parts[0] + "".join(parts[1]))
+# Stops take no turn, so a drawn stop is always a bare one.
+_PAIRS = st.builds(lambda turn, motion: (Turn.NONE if motion is Motion.STOP else turn, motion),
+                   st.sampled_from(Turn), st.sampled_from(Motion))
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(_PAIRS, st.sampled_from(Relation), _CATEGORIES)
+def test_make_atom_text_parses_back_or_is_refused(pair, relation, category):
+    turn, motion = pair
+    try:
+        atom = make_atom(turn, motion, ObjectRef(category, relation))
+    except ValueError:
+        return
+    stop = make_atom(Turn.NONE, Motion.STOP)
+    assert parse_crafted(atom.text + ".") == [atom]
+    assert parse_crafted(f"{atom.text}. {stop.text}.") == [atom, stop]
+
 
 class TestCrafting:
     def test_single_edge_exact_text(self, saliency):
@@ -99,7 +152,6 @@ class TestCrafting:
         path = shortest_path(graph, "loop0_vp00", "loop0_vp05")
         crafted = craft_instruction(Scan(scene, graph, saliency), path)
         assert len(crafted.atoms) == path.hops + 1
-        assert len(crafted.headings) == len(crafted.atoms)
         assert crafted.atoms[-1].motion is Motion.STOP
         assert crafted.text.endswith(".")
 
@@ -126,8 +178,9 @@ class TestCrafting:
         scene = build_scene(objects=[], panoramas=[])
         path = PathSpec("square", ("va", "vb", "vc"), 0.0, 2.0)
         crafted = craft_instruction(Scan(scene, square_graph, saliency), path)
-        assert crafted.headings[0] == pytest.approx(math.pi / 2)  # east
-        assert crafted.headings[1] == pytest.approx(0.0)          # north
+        # North to east, then east to north: each turn is taken from the
+        # heading of the edge before it.
+        assert [a.turn for a in crafted.atoms] == [Turn.RIGHT, Turn.LEFT, Turn.NONE]
 
     def test_crafting_is_deterministic(self, loop_bundle, saliency):
         scene, graph = loop_bundle

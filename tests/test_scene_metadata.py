@@ -41,8 +41,8 @@ class TestTinyHouse:
         obj = tiny_scene.objects[1]
         assert obj.category_index == 1
         assert obj.radii == (0.6, 0.5, 0.3)
-        ax2 = obj.axis2()
-        assert ax2 == pytest.approx((0.0, 0.0, 1.0), abs=1e-6)
+        assert obj.axis0 == (0.707107, 0.707107, 0.0)
+        assert obj.axis1 == (-0.707107, 0.707107, 0.0)
 
 
 def test_category_name_lookup(tiny_scene):
