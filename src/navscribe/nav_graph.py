@@ -121,10 +121,6 @@ class PathSpec:
     def __post_init__(self) -> None:
         check_route(self.path, self.heading, self.distance)
 
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
-
 
 @dataclass(frozen=True)
 class SampleResult:

@@ -163,9 +163,7 @@ class Scan:
         # coordinates within it cannot overflow.
         self._reach = extent + 2.0 * edge
         self._grid = grid = {}
-        # category_name's text of each category, at the position where
-        # category_name looks it up.
-        names = [" ".join(category.name.split()) for category in self.scene.categories]
+        names = [category.name for category in self.scene.categories]
         for obj in self.scene.objects:
             name = names[obj.category_index]
             area = projected_area(obj.radii)

@@ -461,13 +461,13 @@ def _not_unit(axes: list) -> int | None:
 
 
 def category_name(scene: SceneModel, object_index: int) -> str:
-    """Lowercase single-spaced category name of the given object."""
+    """Category name of the given object, as its scene stores it."""
     if not 0 <= object_index < len(scene.objects):
         raise ValueError(
             f"object index {object_index} out of range ({len(scene.objects)} objects)"
         )
     obj = scene.objects[object_index]
-    return " ".join(scene.categories[obj.category_index].name.split())
+    return scene.categories[obj.category_index].name
 
 
 def head_noun(name: str) -> str:

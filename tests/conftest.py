@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from navscribe import fixtures
+import scenes as fixtures
 from navscribe.nav_graph import NavGraph, Viewpoint, parse_connectivity
 from navscribe.object_saliency import SaliencyConfig
 from navscribe.scene_metadata import (Category, Panorama, Region, SceneModel,

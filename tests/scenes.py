@@ -1,6 +1,6 @@
-"""Bundled deterministic demo scenes and malformed-input cases.
+"""Deterministic demo scenes and malformed-input cases: test data.
 
-Three scenes ship with the package, all built from fixed literals:
+Three scenes, all built from fixed literals:
 
 * ``loop0``: 24 viewpoints on a wavy closed corridor, one salient object per
   edge, plus blacklisted floor patches and a too-small vase.
@@ -13,6 +13,11 @@ Corridor nodes keep their two neighbor directions at least ~138 degrees
 apart and hub directions carry distinct anchor categories; under the
 executor's scoring rule this makes crafted instructions reproduce their
 source paths exactly, which the validation pipeline relies on.
+
+Run as a script, it writes each scene's ``<name>.house`` and
+``<name>_connectivity.json`` into a directory::
+
+    python3 tests/scenes.py demo
 """
 from __future__ import annotations
 
@@ -430,3 +435,12 @@ def malformed_house_cases() -> list[tuple[str, str, int]]:
          _mutate_line(base, 13, lambda s: _set_token(s, 1, "0")), 13),
     ]
     return cases
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tests/scenes.py DIRECTORY")
+    for scene in all_scenes():
+        write_scene_files(scene, sys.argv[1])

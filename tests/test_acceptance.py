@@ -13,9 +13,9 @@ import math
 import random
 import time
 
+from scenes import all_scenes, malformed_house_cases, write_scene_files
 from navscribe.aux_loss_math import gradient_check, log_softmax, nll
 from navscribe.cli import main
-from navscribe.fixtures import all_scenes, malformed_house_cases, write_scene_files
 from navscribe.instruction_crafter import (Motion, ObjectRef, Turn,
                                            craft_instruction, make_atom)
 from navscribe.instruction_executor import (ExecutionResult, evaluate, execute,

@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navscribe import fixtures, jsonio, nav_graph, scene_metadata, supervision_export
+import scenes as fixtures
+from navscribe import jsonio, nav_graph, scene_metadata, supervision_export
 from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import (PathSpec, SampleResult, parse_connectivity, paths_from_json,
                                  paths_to_json)

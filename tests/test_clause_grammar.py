@@ -16,7 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navscribe import fixtures
+import scenes as fixtures
 from navscribe.instruction_crafter import (MOTION_CORE, RELATION_SUFFIX, STOP_AT,
                                            STOP_PLAIN, TURN_PREFIX, Motion, ObjectRef,
                                            Turn, make_atom, render_atom)

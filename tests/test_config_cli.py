@@ -11,12 +11,12 @@ import time
 
 import pytest
 
+from scenes import all_scenes, write_scene_files
 from navscribe import cli, jsonio
 from navscribe.aux_loss_math import gradient_check
 from navscribe.cli import main
 from navscribe.config import (AuxConfig, ConfigError, RunConfig, SamplerConfig,
                               load_config)
-from navscribe.fixtures import all_scenes, write_scene_files
 from navscribe.nav_graph import parse_connectivity, paths_from_json
 from navscribe.render_svg import RenderSpec, render_viewpoint
 from navscribe.scene_metadata import parse_house, read_scene_json

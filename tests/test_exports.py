@@ -1,9 +1,26 @@
-"""The package's export list names only what the package holds, once each."""
+"""The package's export list names only what the package holds, once each,
+and the package holds only modules that ``import navscribe`` or the command
+line loads."""
 from __future__ import annotations
 
 import collections
+import json
+import pathlib
+import subprocess
+import sys
 
 import navscribe
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# A fresh interpreter: this one has loaded whatever the other tests imported.
+_PROBE = """
+import json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import navscribe
+print(json.dumps(sorted(module.name for module in pkgutil.iter_modules(navscribe.__path__)
+                        if "navscribe." + module.name not in sys.modules)))
+"""
 
 
 def test_every_export_resolves_on_the_package():
@@ -14,3 +31,11 @@ def test_every_export_resolves_on_the_package():
 def test_no_export_is_listed_twice():
     counts = collections.Counter(navscribe.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
+
+
+def test_every_module_but_the_command_line_is_loaded_by_the_package():
+    flags = ("-B",) if sys.flags.dont_write_bytecode else ()
+    done = subprocess.run([sys.executable, *flags, "-c", _PROBE, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["__main__", "cli"]

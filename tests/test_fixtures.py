@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from navscribe import fixtures
-from navscribe.fixtures import all_scenes, write_scene_files
+import scenes as fixtures
+from scenes import all_scenes, write_scene_files
 from navscribe.instruction_crafter import Motion, classify_vertical
 from navscribe.nav_graph import parse_connectivity
 from navscribe.object_saliency import (SaliencyConfig, best_object,

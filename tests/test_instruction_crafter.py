@@ -151,7 +151,7 @@ class TestCrafting:
         scene, graph = loop_bundle
         path = shortest_path(graph, "loop0_vp00", "loop0_vp05")
         crafted = craft_instruction(Scan(scene, graph, saliency), path)
-        assert len(crafted.atoms) == path.hops + 1
+        assert len(crafted.atoms) == len(path.path)
         assert crafted.atoms[-1].motion is Motion.STOP
         assert crafted.text.endswith(".")
 

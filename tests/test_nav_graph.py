@@ -223,9 +223,6 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec("s", ("a", "a"), 0.0, 0.0)
 
-    def test_hops(self):
-        assert PathSpec("s", ("a", "b", "c"), 0.0, 2.0).hops == 2
-
 
 class TestSamplePaths:
     # Frozen by stepping splitmix64(7) through the documented draw order.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_scene
-from navscribe.fixtures import all_scenes
+from scenes import all_scenes
 from navscribe.instruction_crafter import craft_instruction
 from navscribe.instruction_executor import execute, parse_crafted
 from navscribe.nav_graph import NavGraph, parse_connectivity, sample_paths

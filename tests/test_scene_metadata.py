@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navscribe import fixtures
+import scenes as fixtures
 from navscribe.scene_metadata import (_SECTION_OF, HouseParseError, SceneJsonError,
                                       SceneModel, category_name, head_noun, parse_house,
                                       read_scene_json, write_scene_json)

@@ -82,7 +82,7 @@ class TestDefaultLexicon:
         assert lex["wooden"] == "adjective"
 
     def test_covers_bundled_categories(self):
-        from navscribe.fixtures import all_scenes
+        from scenes import all_scenes
         from navscribe.scene_metadata import parse_house
 
         lex = load_default_lexicon()
