@@ -134,6 +134,8 @@ def _cmd_ablate(cfg: RunConfig, dataset: str, mode: str) -> tuple[str, int]:
 def _cmd_validate(cfg: RunConfig, dataset: str, success_radius: float) -> tuple[str, int]:
     scan = _load_scan(cfg)
     records = read_r2r_json(_read(dataset))
+    if not records:
+        raise jsonio.JsonSchemaError("no records to validate")
     check_paths_on(scan.graph, records, "$")
     rows = []
     metrics = []
@@ -152,11 +154,11 @@ def _cmd_validate(cfg: RunConfig, dataset: str, success_radius: float) -> tuple[
     round_trips = sum(row["round_trip"] for row in rows)
     report = {
         "count": len(records),
-        "round_trip_rate": round_trips / len(rows) if rows else 0.0,
-        "metrics": evaluate_batch(metrics) if metrics else None,
+        "round_trip_rate": round_trips / len(rows),
+        "metrics": evaluate_batch(metrics),
         "paths": rows,
     }
-    return jsonio.dumps(report), 0 if rows and round_trips == len(rows) else 1
+    return jsonio.dumps(report), 0 if round_trips == len(rows) else 1
 
 
 def _cmd_render(cfg: RunConfig, **spec) -> tuple[str, int]:

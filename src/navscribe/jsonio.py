@@ -9,19 +9,16 @@ becomes an object of its fields in declaration order. Each container is one
 strings go through the C string encoder stdlib json itself uses.
 
 A list or tuple of two or more records of exactly one dataclass type, such
-as a dataset or a scene's objects, renders field by field when every field
-holds one kind of value across the list: an exact str, an exact int, a
-finite float, a non-empty array of exact strs, or non-empty arrays of exact
-finite floats that all have one length, such as a ``Vec3``. Each field then
-becomes one lazily mapped column of texts built by C-level ``map`` and
-``join``, and each record is one ``%`` against a template built once for the
-list; a float array's items are formatted in one flat ``map``, and each
-array is one ``%`` against a template with a slot per item. ``zip`` pulls
-the columns record by record, so an int too long for ``str``, the one such
-value that can fail, raises where it would item by item. Any other list goes
-item by item, bools, None, subclasses, nested records, empty arrays, arrays
-of ints, float arrays of two lengths, mixed kinds and non-finite floats
-among them, so errors keep their types and document order.
+as a dataset or a scene's objects, always renders field by field. Each field
+becomes one lazily mapped column of texts, and each record is one ``%``
+against a template built once for the list. A field that holds one fast kind
+throughout (an exact str, an exact int, a finite float, a non-empty array of
+exact strs, or non-empty arrays of exact finite floats that all have one
+length, such as a ``Vec3``) is mapped at C level; a float array's items are
+formatted in one flat ``map``, and each array is one ``%`` against a template
+with a slot per item. Any other field renders value by value, as an item of
+an object would. ``zip`` pulls the columns record by record, so the first bad
+value in document order raises, with its own type and message.
 
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
@@ -74,8 +71,9 @@ def _scalar(value: Any, float_fmt: str) -> str | None:
 def _render(value: Any, nl: str, float_fmt: str) -> str:
     """The text of ``value``; ``nl`` (a newline and an indent) starts the
     line of its closing bracket. Items render in order, so the first bad one
-    raises. A scalar's text is never empty, so ``_scalar(v) or _render(v)``
-    calls ``_render`` only for containers and rejected values."""
+    raises; a list of records of one type renders through ``_record_texts``.
+    A scalar's text is never empty, so ``_scalar(v) or _render(v)`` calls
+    ``_render`` only for containers and rejected values."""
     text = _scalar(value, float_fmt)
     if text is not None:
         return text
@@ -113,9 +111,10 @@ _NOT_RECORDS = (str, int, float, dict, list, tuple)
 
 def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[str] | None:
     """The texts of a list of two or more records of one dataclass type, the
-    first not an instance of ``_NOT_RECORDS``, rendered field by field; None
-    unless every record has that type and every field holds one kind that
-    ``_column`` renders. Each record starts on a line indented by ``nl``."""
+    first not an instance of ``_NOT_RECORDS``, rendered field by field, each
+    starting on a line indented by ``nl``. None for a list not of one
+    dataclass type, a type with no fields, or a field never set, which item
+    by item then raises in order."""
     cls = type(records[0])
     if not dataclasses.is_dataclass(cls) or len(set(map(type, records))) != 1:
         return None
@@ -123,58 +122,43 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
     if not names:
         return None
     inner = nl + "  "
-    try:  # the first record alone refuses most lists before any column is mapped
-        if any(_column([getattr(records[0], name)], inner, float_fmt) is None for name in names):
-            return None
+    try:
+        columns = [_column(list(map(attrgetter(name), records)), inner, float_fmt)
+                   for name in names]
     except AttributeError:
         return None
-    columns = []
-    for name in names:
-        try:
-            column = _column(list(map(attrgetter(name), records)), inner, float_fmt)
-        except AttributeError:  # a field never set; item by item raises it in order
-            return None
-        if column is None:
-            return None
-        columns.append(column)
     # Field names are identifiers, so no key holds a '%'.
     slots = (f"{_quote(name)}: {slot}" for name, (slot, _) in zip(names, columns))
     template = f"{{{inner}{(',' + inner).join(slots)}{nl}}}"
     return map(template.__mod__, zip(*(texts for _, texts in columns)))
 
 
-def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]] | None:
-    """A ``%`` slot and the lazily mapped texts of one field of every record,
-    if the field holds one kind throughout: exact str, exact int or finite
-    float, a non-empty array of exact strs, or non-empty arrays of exact
-    finite floats, all of one length. ``nl`` starts the field's line.
-    Anything else, such as a bool, a subclass, None, an empty array, an array
-    of ints, float arrays of two lengths or mixed kinds, gives None."""
+def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]]:
+    """A ``%`` slot and the lazily mapped texts of one field of every record;
+    ``nl`` starts the field's line. A field of one fast kind throughout maps
+    at C level; any other renders value by value."""
     kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
+    kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
         return "%s", map(_quote, values)
     if kind is int:
         return "%s", map(str, values)
     if kind is float and all(map(math.isfinite, values)):
         return "%s", map(format, values, repeat(float_fmt))
-    if (kind is not list and kind is not tuple) or not all(values):
-        return None
-    inner = nl + "  "
-    item_kinds = set(map(type, chain.from_iterable(values)))
-    if item_kinds == {str}:
-        return f"[{inner}%s{nl}]", map(("," + inner).join, map(map, repeat(_quote), values))
-    lengths = set(map(len, values))
-    if (item_kinds != {float} or len(lengths) != 1
-            or not all(map(math.isfinite, chain.from_iterable(values)))):
-        return None
-    # Every item formatted in one flat map, then each array one % of n of them.
-    n = lengths.pop()
-    texts = map(format, chain.from_iterable(values), repeat(float_fmt))
-    array = f"[{inner}{(',' + inner).join(repeat('%s', n))}{nl}]"
-    return "%s", map(array.__mod__, zip(*repeat(texts, n)))
+    if (kind is list or kind is tuple) and all(values):
+        inner = nl + "  "
+        item_kinds = set(map(type, chain.from_iterable(values)))
+        if item_kinds == {str}:
+            return f"[{inner}%s{nl}]", map(("," + inner).join, map(map, repeat(_quote), values))
+        lengths = set(map(len, values))
+        if (item_kinds == {float} and len(lengths) == 1
+                and all(map(math.isfinite, chain.from_iterable(values)))):
+            # Every item formatted in one flat map, then each array one % of n of them.
+            n = lengths.pop()
+            texts = map(format, chain.from_iterable(values), repeat(float_fmt))
+            array = f"[{inner}{(',' + inner).join(repeat('%s', n))}{nl}]"
+            return "%s", map(array.__mod__, zip(*repeat(texts, n)))
+    return "%s", (_scalar(value, float_fmt) or _render(value, nl, float_fmt) for value in values)
 
 
 class JsonSchemaError(ValueError):

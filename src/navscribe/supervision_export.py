@@ -8,11 +8,12 @@ given pipeline run is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import jsonio
 from .nav_graph import PathSpec, check_route
 from .object_saliency import Scan
-from .scene_metadata import head_noun
+from .scene_metadata import _repeated, head_noun
 
 # Characters stripped from tokens before use, wherever instructions are tokenized.
 PUNCTUATION = ".,;:!?\"'"
@@ -128,14 +129,17 @@ def build_supervision(scan: Scan, path: PathSpec | DatasetRecord, instruction: s
 # ---------------------------------------------------------------------------
 
 
+def _repeated_id(records: list) -> int | None:
+    """The position of the first record whose path_id an earlier one holds."""
+    return _repeated(list(map(attrgetter("path_id"), records)))
+
+
 def _dumps_by_path_id(records: list) -> str:
     """Records sorted by path_id, as canonical JSON; ids must be unique."""
-    seen: set[int] = set()
-    for record in records:
-        if record.path_id in seen:
-            raise ValueError(f"duplicate path_id {record.path_id}")
-        seen.add(record.path_id)
-    return jsonio.dumps(sorted(records, key=lambda r: r.path_id))
+    at = _repeated_id(records)
+    if at is not None:
+        raise ValueError(f"duplicate path_id {records[at].path_id}")
+    return jsonio.dumps(sorted(records, key=attrgetter("path_id")))
 
 
 def emit_r2r_json(records: list[DatasetRecord]) -> str:
@@ -155,8 +159,14 @@ _DATASET_SCHEMA = jsonio.array(jsonio.record(
 
 
 def read_r2r_json(text: str) -> list[DatasetRecord]:
-    """Read a dataset file; any error is a JsonSchemaError naming its place."""
-    return list(jsonio.load(text, _DATASET_SCHEMA))
+    """Read a dataset file, whose path_ids are unique; any error is a
+    JsonSchemaError naming its place."""
+    records = list(jsonio.load(text, _DATASET_SCHEMA))
+    at = _repeated_id(records)
+    if at is not None:
+        raise jsonio.JsonSchemaError(f"duplicate path_id {records[at].path_id}",
+                                     f"$[{at}].path_id")
+    return records
 
 
 def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import pathlib
 import shutil
@@ -26,7 +27,7 @@ from navscribe.text_ablation import AblationMode
 
 _CONFIG = "scene = loop0.house\ngraph = loop0_connectivity.json\npaths = paths.json\n"
 _FILES = ["loop0.house", "loop0_connectivity.json", "paths.json", "dataset.json",
-          "empty.json", "scene.json", "run.cfg"]
+          "empty.json", "swapped.json", "scene.json", "run.cfg"]
 # The demo inputs, a missing path, a directory, and values no flag should take
 # on trust: each flag draws from these.
 _POOL = [*_FILES, "missing.json", "dir", "-1", "0", "nan", "inf", "1e400", "abc", "",
@@ -38,7 +39,8 @@ _SMALL = ["-1", "0", "1", "2", "50", "nan", "abc", ""]
 _FITS = {
     "--config": ["run.cfg"], "--out": ["out.json"], "--house": ["loop0.house", "scene.json"],
     "--connectivity": ["loop0_connectivity.json"], "--paths": ["paths.json"],
-    "--dataset": ["dataset.json", "empty.json"], "--mode": [m.value for m in AblationMode],
+    "--dataset": ["dataset.json", "empty.json", "swapped.json"],
+    "--mode": [m.value for m in AblationMode],
     "--viewpoint": ["loop0_vp00", "loop0_vp24"], "--n": ["5"], "--seed": ["3"],
     "--min-hops": ["2"], "--max-hops": ["6"], "--min-geodesic": ["1.5"], "--n-objects": ["2"],
     "--success-radius": ["3.0"], "--radius": ["4"], "--width": ["64"], "--height": ["64"],
@@ -92,7 +94,8 @@ def _inside(root: pathlib.Path):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> tuple[pathlib.Path, dict[str, bytes]]:
     """A scratch root, and the bytes of each demo file there: the loop scene,
-    one run's artifacts, and a dataset of no records."""
+    one run's artifacts, a dataset of no records, and one whose instructions
+    belong to other records' paths."""
     scene = loop_scene()
     root = tmp_path_factory.mktemp("contract")
     (root / "loop0.house").write_text(scene.house_text, encoding="utf-8")
@@ -105,6 +108,10 @@ def inputs(tmp_path_factory) -> tuple[pathlib.Path, dict[str, bytes]]:
         for argv in (["craft", "--config", "run.cfg", "--out", "dataset.json"],
                      ["parse-scene", "--config", "run.cfg", "--out", "scene.json"]):
             assert cli.main(argv) == 0
+    records = json.loads((root / "dataset.json").read_text("utf-8"))
+    for record, other in zip(records, records[1:] + records[:1]):
+        record["instructions"] = other["instructions"]
+    (root / "swapped.json").write_text(json.dumps(records), encoding="utf-8")
     return root, {name: (root / name).read_bytes() for name in _FILES}
 
 
@@ -129,8 +136,12 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
 # A warning, then the error of a write that fails: one error line, no file.
 @example(argv=["sample-paths", "--config", "run.cfg", "--n", "1234567890123456789012",
                "--out", "dir"])
-# The silent 1: no record round-trips, and the report is written.
+# One error line: a dataset of no records has nothing to validate.
 @example(argv=["validate", "--config", "run.cfg", "--dataset", "empty.json",
+               "--out", "out.json"])
+# The silent 1: instructions of other paths fail their round trip, and the
+# report is written.
+@example(argv=["validate", "--config", "run.cfg", "--dataset", "swapped.json",
                "--out", "out.json"])
 # The largest loss-check the property draws.
 @example(argv=["loss-check", "--instances", "50", "--max-vocab", "50", "--seed",

@@ -439,6 +439,35 @@ class TestCli:
         assert err == f"error: {where}: scan 'stairs0' is not the scene's 'loop0'\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", ["supervise", "validate", "stats", "ablate"])
+    def test_duplicate_path_id_is_located_error(self, workdir, tmp_path, capsys, command):
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "3", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        doc = json.loads(dataset.read_text("utf-8"))
+        doc[1]["path_id"] = doc[2]["path_id"] = doc[0]["path_id"]
+        dataset.write_text(json.dumps(doc), "utf-8")
+        capsys.readouterr()
+        extra = {"supervise": _loop_args(workdir), "validate": _loop_args(workdir),
+                 "stats": [], "ablate": ["--mode", "nouns"]}[command]
+        out_file = tmp_path / "out.json"
+        code = main([command, "--dataset", str(dataset), *extra, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: $[1].path_id: duplicate path_id {doc[0]['path_id']}\n"
+        assert not out_file.exists()
+
+    def test_validate_of_no_records_is_located_error(self, workdir, tmp_path, capsys):
+        dataset, out_file = tmp_path / "empty.json", tmp_path / "report.json"
+        dataset.write_text("[]\n", "utf-8")
+        code = main(["validate", *_loop_args(workdir), "--dataset", str(dataset),
+                     "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: $: no records to validate\n"
+        assert not out_file.exists()
+
     def test_huge_max_hops_is_as_cheap_as_the_viewpoint_count(self, workdir, tmp_path):
         n_viewpoints = len(json.loads((workdir / "loop0_connectivity.json").read_text("utf-8")))
         outputs = []

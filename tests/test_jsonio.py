@@ -16,7 +16,8 @@ from navscribe import jsonio
 from navscribe.jsonio import JsonSchemaError
 from navscribe.nav_graph import ConnectivityError, NavGraph, parse_connectivity, paths_from_json
 from navscribe.scene_metadata import SceneObject, read_scene_json
-from navscribe.supervision_export import read_r2r_json, read_supervision_json
+from navscribe.supervision_export import (WordObjectSupervision, read_r2r_json,
+                                          read_supervision_json)
 
 
 def test_floats_take_six_decimals():
@@ -173,11 +174,12 @@ def _item_by_item(value, float_fmt=".6f", nl="\n"):
 
 
 def _outcome(render):
-    """The text ``render()`` returns, or the type of error it raises."""
+    """The text ``render()`` returns, or the type and message of the error it
+    raises, which tell the first fault in document order from a later one."""
     try:
         return render()
     except (TypeError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @dataclass
@@ -212,7 +214,8 @@ class _Metres(float):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Each field of a generated record list draws every record's value from one
-# kind. The kinds rendered field by field come first and are drawn more often.
+# kind. Every kind renders field by field; the fast kinds, which map at C
+# level, come first and are drawn more often.
 _FAST_KINDS = [
     _ANY_TEXT,
     st.integers(),
@@ -278,6 +281,8 @@ def _record_lists(draw):
 @example({"objects": [SceneObject(i, 0, i % 2, (0.5 * i, -1.25, 2.0), (1.0, 0.0, 0.0),
                                   (0.0, 1.0, 0.0), (0.25, 0.5, 1e-7)) for i in range(3)]},
          ".6f")
+@example([WordObjectSupervision(i, ("go", "to", "the sofa"), (0, i, 1),
+                                (("sofa", "lamp"), (), ("sofa",))) for i in range(3)], ".6f")
 def test_record_lists_render_as_item_by_item(value, float_fmt):
     expected = _outcome(lambda: _item_by_item(value, float_fmt))
     got = _outcome(lambda: jsonio.dumps(value, float_fmt=float_fmt))
