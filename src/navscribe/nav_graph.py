@@ -223,7 +223,7 @@ def _dijkstra_all(graph: NavGraph, source: str, until: set[str] | None = None
             left.discard(node)
             if not left:
                 break
-        for nbr, weight in graph.adjacency(node):
+        for nbr, weight in graph._adj[node]:
             if nbr not in best:
                 heapq.heappush(heap, (cost + weight, path + (nbr,)))
     return best
@@ -238,7 +238,7 @@ def _within_hops(graph: NavGraph, source: str, hops: int) -> set[str]:
         hops -= 1
         nxt = []
         for node in frontier:
-            for nbr, _ in graph.adjacency(node):
+            for nbr, _ in graph._adj[node]:
                 if nbr not in reached:
                     reached.add(nbr)
                     nxt.append(nbr)

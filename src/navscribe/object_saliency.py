@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,9 +35,9 @@ DEFAULT_BLACKLIST = frozenset(
 # Bearing window (radians) around straight ahead treated as "toward".
 TOWARD_HALF_WIDTH = math.pi / 12
 
-_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+_NEIGHBOUR_COLUMNS = tuple(itertools.product((-1, 0, 1), repeat=2))
 # center, object index, category name, projected area, mentionable
-_GridEntry = tuple[Vec3, int, str, float, bool]
+_Entry = tuple[Vec3, int, str, float, bool]
 
 
 class Relation(Enum):
@@ -124,17 +125,20 @@ class Scan:
     viewpoint"). Only filtered candidates are stored, to keep the table small.
 
     A table entry equals ``tuple(filter_candidates(observe(...), cfg))`` but
-    is computed from a uniform grid over the object centers, built on the
-    first query. The cell edge is ``max_distance`` plus a margin of 1e-9 of
-    it and a few ulps of the scene's extent, so float rounding in a cell key
-    cannot put an in-range object outside the 3x3x3 cells around the query.
-    ``math.dist(position, center) <= max_distance`` stays the one in-range
-    decision, as in ``observe``. Uniqueness counts every in-range object by
-    category name, since two category records may share a name; only the
-    mentionable, unique survivors become ``ObservedObject``s. Positions must
-    be finite, as every reader guarantees, to have a cell key. The grid is
-    pure Python: importing numpy would add its code pages to the peak RSS of
-    every command process, for no speed gain at these sizes.
+    is computed from an index built on the first query: columns keyed by the
+    (y, z) cell of the object centers, each holding its entries sorted by x
+    and the parallel list of their x values. A query bisects the slab
+    ``[x - edge, x + edge]`` out of the 3x3 columns around it. The cell edge
+    is ``max_distance`` plus a margin of 1e-9 of it and a few ulps of the
+    scene's extent, so float rounding in a cell key or a slab bound cannot
+    leave an in-range object out; ``math.dist(position, center) <=
+    max_distance`` stays the one in-range decision, as in ``observe``.
+    Uniqueness counts in-range objects by category name, since two category
+    records may share a name. Objects of a blacklisted name are not indexed:
+    they could only change the count of a name that is never returned.
+    Positions must be finite, as every reader guarantees, to have a cell key.
+    The index is pure Python: importing numpy would add its code pages to the
+    peak RSS of every command process, for no speed gain at these sizes.
     """
 
     def __init__(self, scene: SceneModel, graph: NavGraph, cfg: SaliencyConfig) -> None:
@@ -143,7 +147,7 @@ class Scan:
         self.cfg = cfg
         self.panoramas: dict[str, Panorama] = {p.name: p for p in scene.panoramas}
         self._candidates: dict[Vec3, tuple[ObservedObject, ...]] = {}
-        self._grid: dict[tuple[int, ...], list[_GridEntry]] | None = None
+        self._columns: dict[tuple[int, int], tuple[list[float], list[_Entry]]] | None = None
         self._edge = self._reach = 0.0
 
     def candidates(self, position: Vec3) -> tuple[ObservedObject, ...]:
@@ -153,7 +157,7 @@ class Scan:
             found = self._candidates[position] = self._mentionable_near(position)
         return found
 
-    def _build_grid(self) -> None:
+    def _build_index(self) -> None:
         cfg = self.cfg
         centers = itertools.chain.from_iterable(map(attrgetter("center"), self.scene.objects))
         extent = max(map(abs, centers), default=0.0)
@@ -162,40 +166,45 @@ class Scan:
         # No object is in range of a coordinate beyond this, and cell keys of
         # coordinates within it cannot overflow.
         self._reach = extent + 2.0 * edge
-        self._grid = grid = {}
+        self._columns = columns = {}
         names = [category.name for category in self.scene.categories]
-        for obj in self.scene.objects:
+        # In x order, so that each column's lists come out sorted by x.
+        for obj in sorted(self.scene.objects, key=lambda obj: obj.center[0]):
             name = names[obj.category_index]
-            area = projected_area(obj.radii)
-            x, y, z = obj.center
-            key = (math.floor(x / edge), math.floor(y / edge), math.floor(z / edge))
-            grid.setdefault(key, []).append(
-                (obj.center, obj.index, name, area,
-                 area >= cfg.min_area and name not in cfg.blacklist))
+            if name not in cfg.blacklist:
+                area = projected_area(obj.radii)
+                x, y, z = obj.center
+                xs, entries = columns.setdefault(
+                    (math.floor(y / edge), math.floor(z / edge)), ([], []))
+                xs.append(x)
+                entries.append((obj.center, obj.index, name, area, area >= cfg.min_area))
 
     def _mentionable_near(self, position: Vec3) -> tuple[ObservedObject, ...]:
-        if self._grid is None:
-            self._build_grid()
+        if self._columns is None:
+            self._build_index()
         if max(map(abs, position)) > self._reach:
             return ()
         max_distance, edge = self.cfg.max_distance, self._edge
-        kx, ky, kz = (math.floor(v / edge) for v in position)
+        x, y, z = position
+        ky, kz = math.floor(y / edge), math.floor(z / edge)
         counts: dict[str, int] = {}
         near: list[tuple[float, int, Vec3, str, float]] = []
-        for dx, dy, dz in _NEIGHBOUR_CELLS:
-            for center, index, name, area, mentionable in self._grid.get(
-                    (kx + dx, ky + dy, kz + dz), ()):
+        for dy, dz in _NEIGHBOUR_COLUMNS:
+            xs, entries = self._columns.get((ky + dy, kz + dz), ((), ()))
+            for center, index, name, area, mentionable in entries[
+                    bisect_left(xs, x - edge):bisect_right(xs, x + edge)]:
                 distance = math.dist(position, center)
                 if distance <= max_distance:
                     counts[name] = counts.get(name, 0) + 1
                     if mentionable:
                         near.append((distance, index, center, name, area))
+        if self.cfg.require_unique:
+            near = [entry for entry in near if counts[entry[3]] == 1]
         near.sort()  # by (distance, object index): indices are unique
         return tuple(
             ObservedObject(index, name, heading_to(position, center),
                            elevation_to(position, center), distance, area, counts[name] == 1)
-            for distance, index, center, name, area in near
-            if counts[name] == 1 or not self.cfg.require_unique)
+            for distance, index, center, name, area in near)
 
 
 def best_object(candidates: Sequence[ObservedObject], target_heading: float,

@@ -129,17 +129,19 @@ def build_supervision(scan: Scan, path: PathSpec | DatasetRecord, instruction: s
 # ---------------------------------------------------------------------------
 
 
-def _repeated_id(records: list) -> int | None:
-    """The position of the first record whose path_id an earlier one holds."""
-    return _repeated(list(map(attrgetter("path_id"), records)))
+def _unique_ids(records: list) -> list:
+    """The records, whose path_ids must be unique: a repeat raises a
+    JsonSchemaError located at its first recurrence, such as ``$[1].path_id``."""
+    at = _repeated(list(map(attrgetter("path_id"), records)))
+    if at is not None:
+        raise jsonio.JsonSchemaError(f"duplicate path_id {records[at].path_id}",
+                                     f"$[{at}].path_id")
+    return records
 
 
 def _dumps_by_path_id(records: list) -> str:
     """Records sorted by path_id, as canonical JSON; ids must be unique."""
-    at = _repeated_id(records)
-    if at is not None:
-        raise ValueError(f"duplicate path_id {records[at].path_id}")
-    return jsonio.dumps(sorted(records, key=attrgetter("path_id")))
+    return jsonio.dumps(sorted(_unique_ids(records), key=attrgetter("path_id")))
 
 
 def emit_r2r_json(records: list[DatasetRecord]) -> str:
@@ -161,12 +163,7 @@ _DATASET_SCHEMA = jsonio.array(jsonio.record(
 def read_r2r_json(text: str) -> list[DatasetRecord]:
     """Read a dataset file, whose path_ids are unique; any error is a
     JsonSchemaError naming its place."""
-    records = list(jsonio.load(text, _DATASET_SCHEMA))
-    at = _repeated_id(records)
-    if at is not None:
-        raise jsonio.JsonSchemaError(f"duplicate path_id {records[at].path_id}",
-                                     f"$[{at}].path_id")
-    return records
+    return _unique_ids(list(jsonio.load(text, _DATASET_SCHEMA)))
 
 
 def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:
@@ -184,5 +181,6 @@ _SUPERVISION_SCHEMA = jsonio.array(jsonio.record(
 
 
 def read_supervision_json(text: str) -> list[WordObjectSupervision]:
-    """Read a supervision file; any error is a JsonSchemaError naming its place."""
-    return list(jsonio.load(text, _SUPERVISION_SCHEMA))
+    """Read a supervision file, whose path_ids are unique; any error is a
+    JsonSchemaError naming its place."""
+    return _unique_ids(list(jsonio.load(text, _SUPERVISION_SCHEMA)))

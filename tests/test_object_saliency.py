@@ -210,6 +210,8 @@ class TestScan:
 _GRID_NAMES = ("chair", "chair", "lamp", "floor", "sofa")
 _GRID_RADII = ((0.1, 0.1, 0.1), (0.3, 0.3, 0.3), (0.5, 0.25, 0.1))
 _GRID_STEPS = [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)]
+# "floor" is blacklisted by default; "chair" names two category records.
+_GRID_BLACKLISTS = (DEFAULT_BLACKLIST, frozenset(), frozenset({"chair"}))
 
 
 @st.composite
@@ -230,6 +232,8 @@ def _grid_cases(draw):
     queries = [point() for _ in range(draw(st.integers(1, 3)))]
     centers = [point() for _ in range(draw(st.integers(0, 8)))]
     for q in queries:
+        # Several objects on the query's own x: ties in the index's x order.
+        centers += [(q[0], coord(), coord()) for _ in range(draw(st.integers(0, 3)))]
         # Each neighbour may be present or not: exactly max_distance away
         # along an axis, and closer in each of the 26 directions.
         for axis, sign in itertools.product(range(3), (1.0, -1.0)):
@@ -248,6 +252,7 @@ def _grid_cases(draw):
     categories = tuple(Category(i, i, name, i, name) for i, name in enumerate(_GRID_NAMES))
     scene = SceneModel("grid", categories, (), objects, ())
     cfg = SaliencyConfig(max_distance=d, min_area=draw(st.sampled_from([0.0, 0.2, 0.36])),
+                         blacklist=draw(st.sampled_from(_GRID_BLACKLISTS)),
                          require_unique=draw(st.booleans()))
     return Scan(scene, NavGraph("grid", [], {}), cfg), queries + centers
 
@@ -262,7 +267,32 @@ def test_grid_candidates_equal_filtered_observe(case):
         assert scan.candidates(p) == reference
 
 
+def test_a_query_measures_only_indexed_objects_in_its_columns_and_slab(monkeypatch):
+    """Work count, free of timing. On a unit lattice with max_distance 2.5
+    the cell edge is a hair over 2.5, so a query at (5, 5, 5) reads the 3x3
+    (y, z) columns of 0 <= y, z <= 7 and bisects them to the x slab
+    2.5..7.5. Only objects whose name is not blacklisted are indexed."""
+    names = ("chair", "wall", "lamp")  # a lattice point's name follows z % 3
+    lattice = [tuple(map(float, c)) for c in itertools.product(range(12), repeat=3)]
+    scene = build_scene(objects=[(names[int(z) % 3], (x, y, z), (0.3, 0.3, 0.3))
+                                 for x, y, z in lattice], panoramas=[])
+    scan = Scan(scene, NavGraph("lattice", [], {}), SaliencyConfig(max_distance=2.5))
+    measured = []
+    dist = math.dist
+    monkeypatch.setattr(math, "dist", lambda p, q: measured.append(q) or dist(p, q))
+    scan.candidates((5.0, 5.0, 5.0))
+    columns = [c for c in lattice if c[1] <= 7 and c[2] <= 7]
+    assert sorted(measured) == [c for c in columns
+                                if 3 <= c[0] <= 7 and names[int(c[2]) % 3] != "wall"]
+    assert len(measured) == 5 * 8 * 5 == 200
+    # A search of the 3x3x3 cells around the query, blacklisted objects
+    # included, would measure all 8 * 8 * 8 lattice points of 0..7.
+    assert len(measured) < sum(c[0] <= 7 for c in columns) == 512
+
+
 def test_far_position_sees_nothing():
-    # x / cell edge overflows to inf here; the index must not take its floor.
+    # A coordinate / cell edge overflows to inf here; the index must not take
+    # the floor of y or z, which key its columns, nor bisect on a far x.
     scan = Scan(_scene(), NavGraph("mini", [], {}), SaliencyConfig(max_distance=0.1))
-    assert scan.candidates((1e308, 0.0, 1.5)) == ()
+    for far in ((1e308, 0.0, 1.5), (0.0, 1e308, 1.5), (0.0, 0.0, -1e308)):
+        assert scan.candidates(far) == ()

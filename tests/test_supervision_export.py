@@ -240,3 +240,11 @@ class TestSupervisionJson:
     def test_duplicate_path_id_rejected(self):
         with pytest.raises(ValueError):
             emit_supervision_json([self._sup(1), self._sup(1)])
+
+    def test_read_rejects_a_repeated_path_id_at_its_first_recurrence(self):
+        # A file the reader accepts must be one the emitter can write back.
+        doc = json.loads(emit_supervision_json([self._sup(0), self._sup(1), self._sup(2)]))
+        doc[1]["path_id"] = doc[2]["path_id"] = 0
+        with pytest.raises(JsonSchemaError, match="duplicate path_id 0") as err:
+            read_supervision_json(json.dumps(doc))
+        assert err.value.json_path == "$[1].path_id"
