@@ -13,9 +13,8 @@ from .aux_loss_math import (LossBreakdown, WordTargets, gradient_check,
 from .config import (AuxConfig, ConfigError, FileConfig, RunConfig,
                      SamplerConfig, load_config)
 from .instruction_crafter import (AtomicInstruction, CraftedInstruction, Motion,
-                                  ObjectRef, Turn, classify_turn,
-                                  classify_vertical, craft_instruction,
-                                  make_atom, render_atom)
+                                  Turn, classify_turn, classify_vertical,
+                                  craft_instruction, make_atom, render_atom)
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, NavMetrics, evaluate,
                                    evaluate_batch, execute, parse_crafted)
@@ -24,9 +23,9 @@ from .nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
                         Viewpoint, geodesic_distance, parse_connectivity,
                         paths_from_json, paths_to_json, sample_paths,
                         shortest_path)
-from .object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
-                              Scan, best_object, filter_candidates, observe,
-                              side_of_travel)
+from .object_saliency import (DEFAULT_BLACKLIST, ObjectRef, Relation,
+                              SaliencyConfig, Scan, best_object,
+                              filter_candidates, observe, side_of_travel)
 from .render_svg import RenderSpec, render_viewpoint
 from .rng import SplitMix64
 from .scene_metadata import (Category, HouseParseError, Panorama, Region,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .nav_graph import PathSpec
-from .object_saliency import Relation, Scan, best_object, side_of_travel
-from .view_geometry import Vec3, heading_to, relative_bearing
+from .object_saliency import ObjectRef, Relation, Scan
+from .view_geometry import heading_to, relative_bearing
 
 # Turn classification bounds (radians, signed bearing to the next node).
 TURN_STRAIGHT_BOUND = math.pi / 8
@@ -36,12 +36,6 @@ class Motion(Enum):
     GO_UP = "go_up"
     GO_DOWN = "go_down"
     STOP = "stop"
-
-
-@dataclass(frozen=True)
-class ObjectRef:
-    category: str
-    relation: Relation
 
 
 @dataclass(frozen=True)
@@ -145,14 +139,6 @@ def classify_vertical(delta_z: float, cross_region: bool) -> Motion:
 # ---------------------------------------------------------------------------
 
 
-def _anchor(scan: Scan, position: Vec3, heading: float) -> ObjectRef | None:
-    """Reference to the best object ahead of a position, if any."""
-    best = best_object(scan.candidates(position), heading, scan.cfg.fov)
-    if best is None:
-        return None
-    return ObjectRef(best.category, side_of_travel(heading, best.heading))
-
-
 def atomic_for_edge(scan: Scan, cur: str, nxt: str,
                     cur_heading: float) -> tuple[AtomicInstruction, float]:
     """Atom describing the move cur -> nxt; returns (atom, new heading)."""
@@ -169,13 +155,14 @@ def atomic_for_edge(scan: Scan, cur: str, nxt: str,
     cross = (pano_cur is not None and pano_nxt is not None
              and pano_cur.region_index != pano_nxt.region_index)
     motion = classify_vertical(p_nxt[2] - p_cur[2], cross)
-    return make_atom(turn, motion, _anchor(scan, p_cur, target)), target
+    return make_atom(turn, motion, scan.anchor(p_cur, target)), target
 
 
 def stop_atom(scan: Scan, node: str, incoming_heading: float) -> AtomicInstruction:
-    """Terminal atom at a node, anchored on the best object ahead if any."""
+    """Terminal atom at a node, anchored on the best object ahead if any as
+    seen from the node's ``P`` record position; without a ``P`` record, none."""
     pano = scan.panoramas.get(node)
-    ref = None if pano is None else _anchor(scan, pano.position, incoming_heading)
+    ref = None if pano is None else scan.anchor(pano.position, incoming_heading)
     return make_atom(Turn.NONE, Motion.STOP, ref)
 
 

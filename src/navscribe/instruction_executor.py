@@ -4,17 +4,16 @@ The executor is the self-check for the crafting grammar: its parser is built
 from the template table, ``render_atom``, so it inverts exactly what crafting
 writes. Execution re-walks the graph by scoring each neighbor against the
 expected bearing of the current atom's turn class, with a hard preference for
-neighbors whose best visible object matches the atom's object reference.
+neighbors whose ``Scan.anchor`` names the category of the atom's object.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .instruction_crafter import (AtomicInstruction, Motion, ObjectRef, Turn,
-                                  make_atom, render_atom)
+from .instruction_crafter import AtomicInstruction, Motion, Turn, make_atom, render_atom
 from .nav_graph import NavGraph, PathSpec, geodesic_distance
-from .object_saliency import Relation, Scan, best_object
+from .object_saliency import ObjectRef, Relation, Scan
 from .view_geometry import heading_to, relative_bearing
 
 # Bearing the executor steers toward for each turn class.
@@ -25,7 +24,7 @@ CLASS_CENTER = {
     Turn.AROUND: math.pi,
 }
 
-# Score bonus (subtracted) when a neighbor's best object matches the atom's.
+# Score bonus (subtracted) when a neighbor's anchor names the atom's category.
 OBJECT_MATCH_BONUS = math.pi
 
 DEFAULT_SUCCESS_RADIUS = 3.0
@@ -114,8 +113,8 @@ def execute(scan: Scan, start: str, heading_0: float,
 
     Each move picks the neighbor minimizing the absolute bearing error
     against the atom's expected direction; when the atom carries an object
-    reference, neighbors whose best visible object matches that category
-    score an extra -pi. Ties go to the smaller viewpoint id.
+    reference, neighbors whose ``Scan.anchor`` names its category (relation
+    not compared) score an extra -pi. Ties go to the smaller viewpoint id.
     """
     graph = scan.graph
     graph.viewpoint(start)
@@ -134,7 +133,6 @@ def execute(scan: Scan, start: str, heading_0: float,
             failure = f"stranded at {cur!r}: no neighbors to move to"
             break
         p_cur = graph.position(cur)
-        candidates = None if atom.object_ref is None else scan.candidates(p_cur)
         want = heading + CLASS_CENTER[atom.turn]
 
         chosen = None
@@ -143,8 +141,8 @@ def execute(scan: Scan, start: str, heading_0: float,
         for nbr, _ in nbrs:  # sorted by id, so strict < keeps the smaller id on ties
             nbr_heading = heading_to(p_cur, graph.position(nbr))
             score = abs(relative_bearing(want, nbr_heading))
-            if candidates is not None:
-                seen = best_object(candidates, nbr_heading, scan.cfg.fov)
+            if atom.object_ref is not None:
+                seen = scan.anchor(p_cur, nbr_heading)
                 if seen is not None and seen.category == atom.object_ref.category:
                     score -= OBJECT_MATCH_BONUS
             if score < chosen_score:

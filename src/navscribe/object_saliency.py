@@ -49,6 +49,12 @@ class Relation(Enum):
 
 
 @dataclass(frozen=True)
+class ObjectRef:
+    category: str
+    relation: Relation
+
+
+@dataclass(frozen=True)
 class SaliencyConfig:
     max_distance: float = 3.5
     min_area: float = 0.2
@@ -118,6 +124,7 @@ class Scan:
 
     Holds the scene, graph and saliency settings, panoramas by name, and a
     lazily filled table of the mentionable objects seen from each position.
+    ``anchor`` is the one view query that crafter and executor make of it.
     The table is keyed by position, not viewpoint id, because a viewpoint has
     two: edge clauses, the executor and supervision observe from the
     connectivity pose, stop clauses from the scene's panorama record. Merging
@@ -156,6 +163,13 @@ class Scan:
         if found is None:
             found = self._candidates[position] = self._mentionable_near(position)
         return found
+
+    def anchor(self, position: Vec3, heading: float) -> ObjectRef | None:
+        """What a clause facing heading names: best_object in view, with its side of travel."""
+        best = best_object(self.candidates(position), heading, self.cfg.fov)
+        if best is None:
+            return None
+        return ObjectRef(best.category, side_of_travel(heading, best.heading))
 
     def _build_index(self) -> None:
         cfg = self.cfg

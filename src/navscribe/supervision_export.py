@@ -1,9 +1,9 @@
 """Word-level supervision and dataset file emission.
 
 Every instruction token is assigned to a path node by linear position, and
-every node contributes the head nouns of its most salient visible objects.
-Output files are canonical JSON (fixed key order, 6-decimal numbers) so a
-given pipeline run is byte-reproducible.
+every node contributes the head nouns of its most salient mentionable objects
+in every direction (no field of view). Output files are canonical JSON (fixed
+key order, 6-decimal numbers) so a given pipeline run is byte-reproducible.
 """
 from __future__ import annotations
 
@@ -81,8 +81,9 @@ def align_words_to_nodes(num_tokens: int, num_nodes: int) -> list[int]:
 
 
 def top_n_objects(scan: Scan, node: str, n: int) -> list[str]:
-    """Head nouns of the n most salient objects visible from a node.
+    """Head nouns of the n most salient mentionable objects around a node.
 
+    Every direction from its connectivity pose counts (no field of view).
     Salience ranks by projected area descending, then distance ascending,
     then object index; duplicate head nouns collapse to the first.
     """

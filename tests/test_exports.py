@@ -39,3 +39,9 @@ def test_every_module_but_the_command_line_is_loaded_by_the_package():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["__main__", "cli"]
+
+
+def test_object_ref_is_one_class_under_every_import_path():
+    from navscribe import instruction_crafter, object_saliency
+    assert navscribe.ObjectRef is object_saliency.ObjectRef
+    assert instruction_crafter.ObjectRef is object_saliency.ObjectRef

@@ -1,6 +1,7 @@
 """Observation, mention filtering, and object-direction relations."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -11,15 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import build_scene
 from scenes import all_scenes
-from navscribe.instruction_crafter import craft_instruction
+from navscribe.instruction_crafter import (Motion, Turn, classify_turn, craft_instruction,
+                                           make_atom)
 from navscribe.instruction_executor import execute, parse_crafted
 from navscribe.nav_graph import NavGraph, parse_connectivity, sample_paths
-from navscribe.object_saliency import (DEFAULT_BLACKLIST, Relation, SaliencyConfig,
-                                       Scan, best_object, filter_candidates, observe,
-                                       side_of_travel)
+from navscribe.object_saliency import (DEFAULT_BLACKLIST, ObjectRef, Relation,
+                                       SaliencyConfig, Scan, best_object, filter_candidates,
+                                       observe, side_of_travel)
 from navscribe.scene_metadata import Category, SceneModel, SceneObject, parse_house
 from navscribe.supervision_export import build_supervision
-from navscribe.view_geometry import FovConfig
+from navscribe.view_geometry import FovConfig, heading_to, relative_bearing
 
 EYE = (0.0, 0.0, 1.5)
 
@@ -206,6 +208,67 @@ class TestScan:
         assert isinstance(entry, tuple)
 
 
+class TestOneViewQuery:
+    """``Scan.anchor`` is the only place a clause's object is chosen or checked."""
+
+    def test_crafter_names_what_the_view_query_answers(self, monkeypatch):
+        stub = ObjectRef("stub lamp", Relation.LEFT)
+        for scan in _fixture_scans():
+            paths = sample_paths(scan.graph, n=10, seed=7).paths
+            assert all(path.path[-1] in scan.panoramas for path in paths)
+            monkeypatch.setattr(Scan, "anchor", lambda self, position, heading: stub)
+            for path in paths:
+                atoms = craft_instruction(scan, path).atoms
+                assert [atom.object_ref for atom in atoms] == [stub] * len(atoms)
+            monkeypatch.setattr(Scan, "anchor", lambda self, position, heading: None)
+            for path in paths:
+                assert all(atom.object_ref is None
+                           for atom in craft_instruction(scan, path).atoms)
+
+    def test_executor_moves_where_the_view_query_names_the_category(self, monkeypatch):
+        """The neighbour straight ahead wins on bearing alone; the one whose
+        heading the stub answers with the atom's category wins instead, though
+        it lies outside the atom's turn class."""
+        atom = make_atom(Turn.NONE, Motion.WALK_STRAIGHT, ObjectRef("stub lamp", Relation.TOWARD))
+        moves = 0
+        for scan in _fixture_scans():
+            graph = scan.graph
+            for viewpoint in graph.viewpoints:
+                p_cur = viewpoint.position
+                nbrs = [nbr for nbr, _ in graph.adjacency(viewpoint.id)]
+                if len(nbrs) < 2:
+                    continue
+                facing = heading_to(p_cur, graph.position(nbrs[0]))
+                for target in nbrs[1:]:
+                    target_heading = heading_to(p_cur, graph.position(target))
+                    bearing = relative_bearing(facing, target_heading)
+                    if classify_turn(bearing) is Turn.NONE or abs(bearing) >= math.pi - 1e-9:
+                        continue
+
+                    def stub(self, position, heading, target_heading=target_heading):
+                        named = abs(relative_bearing(heading, target_heading)) < 1e-9
+                        return ObjectRef("stub lamp" if named else "other", Relation.TOWARD)
+
+                    monkeypatch.setattr(Scan, "anchor", stub)
+                    result = execute(scan, viewpoint.id, facing, [atom])
+                    assert result.path == (viewpoint.id, target)
+                    moves += 1
+        assert moves > 10
+
+
+def test_no_objects_is_text_blind():
+    """Vision enters the executor only through ``Scan.anchor``: on a scan with
+    no objects every crafted path executes as it does on the original scan
+    with every atom's object reference removed."""
+    for scan in _fixture_scans():
+        no_objects = Scan(dataclasses.replace(scan.scene, objects=()), scan.graph, scan.cfg)
+        for path in sample_paths(scan.graph, n=50, seed=7).paths:
+            atoms = craft_instruction(scan, path).atoms
+            blind = [dataclasses.replace(atom, object_ref=None) for atom in atoms]
+            start = (path.path[0], path.heading)
+            assert execute(no_objects, *start, list(atoms)) == execute(scan, *start, blind)
+
+
 # Categories 0 and 1 share a name: uniqueness is decided by name, not index.
 _GRID_NAMES = ("chair", "chair", "lamp", "floor", "sofa")
 _GRID_RADII = ((0.1, 0.1, 0.1), (0.3, 0.3, 0.3), (0.5, 0.25, 0.1))
@@ -257,14 +320,28 @@ def _grid_cases(draw):
     return Scan(scene, NavGraph("grid", [], {}), cfg), queries + centers
 
 
+_TWELVE_HEADINGS = tuple(k * math.pi / 6 for k in range(12))
+
+
+def _reference_anchor(reference, heading, fov):
+    best = best_object(reference, heading, fov)
+    return None if best is None else ObjectRef(best.category, side_of_travel(heading, best.heading))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_grid_cases())
 def test_grid_candidates_equal_filtered_observe(case):
+    """Both ``Scan.candidates`` and ``Scan.anchor`` equal their oracles; the
+    anchor at 12 headings around and at each candidate's field-of-view edges."""
     scan, positions = case
+    fov = scan.cfg.fov
     for p in positions:
         reference = tuple(filter_candidates(observe(scan.scene, p, scan.cfg.max_distance),
                                             scan.cfg))
         assert scan.candidates(p) == reference
+        edges = [o.heading + side * fov.half_width for o in reference for side in (1.0, -1.0)]
+        for heading in (*_TWELVE_HEADINGS, *edges):
+            assert scan.anchor(p, heading) == _reference_anchor(reference, heading, fov)
 
 
 def test_a_query_measures_only_indexed_objects_in_its_columns_and_slab(monkeypatch):
