@@ -37,12 +37,16 @@ class UsageError(Exception):
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: invalid UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")  # before the open, so a text that cannot be encoded writes nothing
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _need(value: str | None, what: str) -> str:

@@ -23,16 +23,17 @@ value in document order raises, with its own type and message.
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
 ``vec3``, and ``record`` or ``open_record``, which ignores keys it does not
-declare). A check takes the list of values found at one place in every item
-of an array, at the top level just the document, and returns them
-converted. It tests the whole list at C level: exact-type scalars with one
+declare). Each check has two halves. ``fast`` takes the list of values found
+at one place in every item of an array, at the top level just the document,
+and tests it whole at C level: exact-type scalars with one
 ``set(map(type, ...))`` test (so true is no integer), numbers when all are
-finite floats, arrays and ``vec3`` values as one run of all their items,
-records column by column in schema order, built at the end. Only where that
-test refuses does a check walk the list one value at a time. It raises the
-first fault in document order, so inside one object the earlier field in
-the schema wins, as a ``JsonSchemaError`` naming a ``json_path`` such as
-``$[3].heading``, built only as the error unwinds.
+finite (integers become floats), arrays and ``vec3`` values as one run of all
+their items, records column by column, built at the end. It returns the
+values converted, or None if any is at fault, and only then does ``load``
+call ``walk`` on the document: one plain recursive pass in schema order that
+raises the first fault in document order (inside one object, the earlier
+field in the schema wins) as a ``JsonSchemaError`` naming a ``json_path``
+such as ``$[3].heading``.
 """
 from __future__ import annotations
 
@@ -40,12 +41,9 @@ import dataclasses
 import json
 import math
 import sys
-from bisect import bisect_right
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator
-
-Check = Callable[[Iterable], Iterable]
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 _quote = json.encoder.encode_basestring  # where json.dumps(s, ensure_ascii=False) ends
 
@@ -176,19 +174,20 @@ _KIND = {type(None): "null", bool: "boolean", int: "integer", float: "number",
          str: "string", list: "array", dict: "object"}
 
 
-# A check's error carries the position of its value in ``_at`` and a path
-# relative to that value. Each enclosing check turns the position into its
-# own segment as the error unwinds, and ``load`` prepends the root.
-def _at(position: int, exc: JsonSchemaError) -> JsonSchemaError:
-    exc._at = position
-    return exc
+class _Check(NamedTuple):
+    """A schema check. ``fast`` takes the values found at one place in every
+    item and returns them converted, or None if any is at fault; ``walk``
+    takes one value and its ``json_path`` and returns it converted, or raises
+    its first fault."""
+    fast: Callable[[Iterable], Iterable | None]
+    walk: Callable[[Any, str], Any]
 
 
-def _expected(what: str, value: Any) -> JsonSchemaError:
-    return JsonSchemaError(f"expected {what}, found {_KIND[type(value)]}", "")
+def _expected(what: str, value: Any, json_path: str) -> JsonSchemaError:
+    return JsonSchemaError(f"expected {what}, found {_KIND[type(value)]}", json_path)
 
 
-def load(text: str, schema: Check) -> Any:
+def load(text: str, schema: _Check) -> Any:
     """Decode ``text`` and return what ``schema`` builds from the document."""
     try:
         doc = json.loads(text)
@@ -196,24 +195,19 @@ def load(text: str, schema: Check) -> Any:
         raise JsonSchemaError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise JsonSchemaError("invalid JSON: nested too deeply") from None
-    try:
-        return schema([doc])[0]
-    except JsonSchemaError as exc:
-        exc.json_path = "$" + exc.json_path
-        raise
+    built = schema.fast([doc])
+    return schema.walk(doc, "$") if built is None else built[0]
 
 
-def _exact(kind: type, what: str) -> Check:
+def _exact(kind: type, what: str) -> _Check:
     """The check of values of exactly ``kind``, returned as they are."""
 
-    def check(values: Iterable) -> Iterable:
-        if set(map(type, values)) <= {kind}:
-            return values
-        position, value = next((at, value) for at, value in enumerate(values)
-                               if type(value) is not kind)
-        raise _at(position, _expected(what, value))
+    def walk(value: Any, json_path: str) -> Any:
+        if type(value) is not kind:
+            raise _expected(what, value, json_path)
+        return value
 
-    return check
+    return _Check(lambda values: values if set(map(type, values)) <= {kind} else None, walk)
 
 
 integer = _exact(int, "an integer")  # true and false are not integers
@@ -225,86 +219,77 @@ boolean = _exact(bool, "a boolean")
 _FLOAT_MAX = sys.float_info.max
 
 
-def number(values: Iterable) -> Iterable:
-    """Finite numbers, as floats."""
-    # Exact floats only: an int goes value by value, as math.isfinite would
-    # overflow on a huge one.
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return values
-    out = []
-    for position, value in enumerate(values):
-        if type(value) is not float and type(value) is not int:
-            raise _at(position, _expected("a number", value))
-        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            found = value if type(value) is float else "an integer out of range"
-            raise _at(position, JsonSchemaError(f"expected a finite number, found {found}", ""))
-        out.append(float(value))
-    return out
-
-
-def _misfits(values: Iterable, misfit: Callable[[Any], JsonSchemaError | None]
-             ) -> tuple[Iterable, JsonSchemaError | None]:
-    """The values before the first one that ``misfit`` finds at fault, and
-    that fault; all values and None if there is none."""
-    for position, value in enumerate(values):
-        fault = misfit(value)
-        if fault is not None:
-            return list(islice(values, position)), _at(position, fault)
-    return values, None
-
-
-def array(item: Check, min_len: int = 0) -> Check:
-    """Arrays of at least ``min_len`` values, each checked by ``item``, as tuples."""
-
-    def misfit(value: Any) -> JsonSchemaError | None:
-        if type(value) is not list:
-            return _expected("an array", value)
-        if len(value) < min_len:
-            return JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}", "")
-        return None
-
-    return lambda values: _arrays(values, item, min_len, math.inf, misfit)
-
-
-def _not_vec3(value: Any) -> JsonSchemaError | None:
-    if type(value) is not list or len(value) != 3:
-        return JsonSchemaError("expected an array of 3 numbers", "")
+def _numbers(values: Iterable) -> Iterable | None:
+    kinds = set(map(type, values))
+    if kinds <= {float}:  # returned as they are, which spares an array of them a copy
+        return values if all(map(math.isfinite, values)) else None
+    if kinds <= {float, int} and all(-_FLOAT_MAX <= value <= _FLOAT_MAX for value in values):
+        return list(map(float, values))
     return None
 
 
-def vec3(values: Iterable) -> list:
-    """Exactly three finite numbers, as tuples of floats."""
-    return _arrays(values, number, 3, 3, _not_vec3)
+def _number(value: Any, json_path: str) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise _expected("a number", value, json_path)
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        found = value if type(value) is float else "an integer out of range"
+        raise JsonSchemaError(f"expected a finite number, found {found}", json_path)
+    return float(value)
 
 
-def _arrays(values: Iterable, item: Check, min_len: int, max_len: float,
-            misfit: Callable[[Any], JsonSchemaError | None]) -> list:
-    """``values``, arrays of ``min_len`` to ``max_len`` items, as tuples of
-    their items, which ``item`` checks as one run. Past the first value that
-    ``misfit`` refuses, nothing is checked; a fault in an earlier array's
-    items comes first."""
-    fault = None
-    if not set(map(type, values)) <= {list} or not _within(set(map(len, values)), min_len, max_len):
-        values, fault = _misfits(values, misfit)
-    flat = _Items(values)
-    try:
-        items = item(flat)
-    except JsonSchemaError as exc:  # from the run's index back to array and item
-        ends = list(accumulate(map(len, values)))
-        position = bisect_right(ends, exc._at)
-        exc.json_path = f"[{exc._at - (ends[position - 1] if position else 0)}]{exc.json_path}"
-        raise _at(position, exc) from None
-    if fault is not None:
-        raise fault
-    if items is flat:  # the items are the values themselves
-        return list(map(tuple, values))
-    rest = iter(items)
-    return [tuple(islice(rest, n)) for n in map(len, values)]
+number = _Check(_numbers, _number)  # finite numbers, as floats
+
+
+def array(item: _Check, min_len: int = 0) -> _Check:
+    """Arrays of at least ``min_len`` values, each checked by ``item``, as tuples."""
+
+    def refuse(value: Any, json_path: str) -> None:
+        if type(value) is not list:
+            raise _expected("an array", value, json_path)
+        if len(value) < min_len:
+            raise JsonSchemaError(f"expected at least {min_len} item(s), found {len(value)}",
+                                  json_path)
+
+    return _arrays(item, min_len, math.inf, refuse)
+
+
+def _refuse_vec3(value: Any, json_path: str) -> None:
+    if type(value) is not list or len(value) != 3:
+        raise JsonSchemaError("expected an array of 3 numbers", json_path)
+
+
+def _arrays(item: _Check, min_len: int, max_len: float,
+            refuse: Callable[[Any, str], None]) -> _Check:
+    """The check of arrays of ``min_len`` to ``max_len`` items, as tuples of
+    their items. ``fast`` checks the items of all arrays as one run; ``refuse``
+    raises what is wrong with one array as a whole, if anything is."""
+
+    def fast(values: Iterable) -> list | None:
+        if not (set(map(type, values)) <= {list}
+                and _within(set(map(len, values)), min_len, max_len)):
+            return None
+        flat = _Items(values)
+        items = item.fast(flat)
+        if items is None:
+            return None
+        if items is flat:  # the items are the values themselves
+            return list(map(tuple, values))
+        rest = iter(items)
+        return [tuple(islice(rest, n)) for n in map(len, values)]
+
+    def walk(value: Any, json_path: str) -> tuple:
+        refuse(value, json_path)
+        return tuple(item.walk(v, f"{json_path}[{at}]") for at, v in enumerate(value))
+
+    return _Check(fast, walk)
+
+
+vec3 = _arrays(number, 3, 3, _refuse_vec3)  # exactly three finite numbers, as tuples of floats
 
 
 class _Items:
-    """The items of a list of arrays, in order, without a copy: what
-    ``_arrays`` passes its item check, which only iterates over it."""
+    """The items of a list of arrays, in order, without a copy: what an
+    array check passes its item check, which only iterates over it."""
 
     __slots__ = ("arrays",)
 
@@ -320,7 +305,7 @@ def _within(values, lo: float, hi: float) -> bool:
     return not values or (lo <= min(values) and max(values) <= hi)
 
 
-def record(build: Callable[..., Any], **fields: Check) -> Check:
+def record(build: Callable[..., Any], **fields: _Check) -> _Check:
     """Objects with exactly the keys of ``fields``, each returned as ``build``
     called with its checked fields, positionally in the order given. A
     ValueError from ``build``, which holds the rules across fields, fails the
@@ -328,50 +313,41 @@ def record(build: Callable[..., Any], **fields: Check) -> Check:
     return _record(build, fields, closed=True)
 
 
-def open_record(build: Callable[..., Any], **fields: Check) -> Check:
+def open_record(build: Callable[..., Any], **fields: _Check) -> _Check:
     """As ``record``, but keys beyond those of ``fields`` are ignored."""
     return _record(build, fields, closed=False)
 
 
-def _record(build: Callable[..., Any], fields: dict[str, Check], closed: bool) -> Check:
-    def misfit(value: Any) -> JsonSchemaError | None:
+def _record(build: Callable[..., Any], fields: dict[str, _Check], closed: bool) -> _Check:
+    def fast(values: Iterable) -> list | None:
+        if not set(map(type, values)) <= {dict}:
+            return None
+        if closed and not set(map(len, values)) <= {len(fields)}:
+            return None
+        try:
+            columns = [field.fast(list(map(itemgetter(name), values)))
+                       for name, field in fields.items()]
+            if None in columns:
+                return None
+            # map needs a column to build from.
+            return list(map(build, *columns)) if columns else [build() for _ in values]
+        except (KeyError, ValueError):  # a missing key, or a value build refuses
+            return None
+
+    def walk(value: Any, json_path: str) -> Any:
         if type(value) is not dict:
-            return _expected("an object", value)
+            raise _expected("an object", value, json_path)
         if value.keys() != fields.keys():
             missing = [key for key in fields if key not in value]
             if missing or closed:
                 problem = "missing" if missing else "unexpected"
                 key = (missing or [key for key in value if key not in fields])[0]
-                return JsonSchemaError(f"{problem} key {key!r}", "")
-        return None
-
-    def check(values: Iterable) -> list:
-        fault = None
+                raise JsonSchemaError(f"{problem} key {key!r}", json_path)
+        checked = [field.walk(value[name], f"{json_path}.{name}")
+                   for name, field in fields.items()]
         try:
-            raw = [list(map(itemgetter(name), values)) for name in fields]
-        except (KeyError, TypeError):  # a value that is no object, or lacks a key
-            raw = None
-        if raw is None or closed and not set(map(len, values)) <= {len(fields)}:
-            values, fault = _misfits(values, misfit)
-            raw = [list(map(itemgetter(name), values)) for name in fields]
-        columns = []
-        for (name, field), column in zip(fields.items(), raw):
-            if fault is not None:  # only the objects before the earliest fault so far
-                column = column[:fault._at]
-            try:
-                columns.append(field(column))
-            except JsonSchemaError as exc:
-                exc.json_path = f".{name}{exc.json_path}"
-                fault = exc
-                columns.append(field(column[:exc._at]))  # the objects before it pass
-        out = []
-        try:
-            # Up to the shortest column, the last; map needs one to build from.
-            out.extend(map(build, *columns) if columns else map(lambda _: build(), values))
+            return build(*checked)
         except ValueError as exc:
-            fault = _at(len(out), JsonSchemaError(str(exc), ""))
-        if fault is not None:
-            raise fault
-        return out
+            raise JsonSchemaError(str(exc), json_path) from None
 
-    return check
+    return _Check(fast, walk)

@@ -282,6 +282,14 @@ def _outcome(reader, text):
                 getattr(exc, "json_path", None))
 
 
+# The schema each JSON reader loads its document with.
+_SCHEMA_OF = {read_scene_json: scene_metadata._SCENE_SCHEMA,
+              parse_connectivity: nav_graph._CONNECTIVITY_SCHEMA,
+              paths_from_json: nav_graph._PATHS_SCHEMA,
+              read_r2r_json: supervision_export._DATASET_SCHEMA,
+              read_supervision_json: supervision_export._SUPERVISION_SCHEMA}
+
+
 def _with_oracle(reader, text):
     """The outcomes of ``reader`` and of its oracle on ``text``."""
     with ExitStack() as stack:
@@ -289,7 +297,10 @@ def _with_oracle(reader, text):
         stack.enter_context(mock.patch.object(scene_metadata, "_validate_records",
                                               _validate_records_one_by_one))
         oracle = _outcome(_parse_house_line_by_line if reader is parse_house else reader, text)
-    return _outcome(reader, text), oracle
+    got = _outcome(reader, text)
+    if got[0] == "ok" and reader in _SCHEMA_OF:  # a valid document is never walked
+        assert _SCHEMA_OF[reader].fast([json.loads(text)]) is not None
+    return got, oracle
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from navscribe.text_ablation import AblationMode
 
 _CONFIG = "scene = loop0.house\ngraph = loop0_connectivity.json\npaths = paths.json\n"
 _FILES = ["loop0.house", "loop0_connectivity.json", "paths.json", "dataset.json",
-          "empty.json", "swapped.json", "scene.json", "run.cfg"]
+          "empty.json", "swapped.json", "surrogate.json", "scene.json", "run.cfg"]
 # The demo inputs, a missing path, a directory, and values no flag should take
 # on trust: each flag draws from these.
 _POOL = [*_FILES, "missing.json", "dir", "-1", "0", "nan", "inf", "1e400", "abc", "",
@@ -39,7 +39,7 @@ _SMALL = ["-1", "0", "1", "2", "50", "nan", "abc", ""]
 _FITS = {
     "--config": ["run.cfg"], "--out": ["out.json"], "--house": ["loop0.house", "scene.json"],
     "--connectivity": ["loop0_connectivity.json"], "--paths": ["paths.json"],
-    "--dataset": ["dataset.json", "empty.json", "swapped.json"],
+    "--dataset": ["dataset.json", "empty.json", "swapped.json", "surrogate.json"],
     "--mode": [m.value for m in AblationMode],
     "--viewpoint": ["loop0_vp00", "loop0_vp24"], "--n": ["5"], "--seed": ["3"],
     "--min-hops": ["2"], "--max-hops": ["6"], "--min-geodesic": ["1.5"], "--n-objects": ["2"],
@@ -94,8 +94,9 @@ def _inside(root: pathlib.Path):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> tuple[pathlib.Path, dict[str, bytes]]:
     """A scratch root, and the bytes of each demo file there: the loop scene,
-    one run's artifacts, a dataset of no records, and one whose instructions
-    belong to other records' paths."""
+    one run's artifacts, a dataset of no records, one whose instructions
+    belong to other records' paths, and one whose instruction holds a lone
+    surrogate, which JSON escapes and UTF-8 cannot encode."""
     scene = loop_scene()
     root = tmp_path_factory.mktemp("contract")
     (root / "loop0.house").write_text(scene.house_text, encoding="utf-8")
@@ -109,6 +110,8 @@ def inputs(tmp_path_factory) -> tuple[pathlib.Path, dict[str, bytes]]:
                      ["parse-scene", "--config", "run.cfg", "--out", "scene.json"]):
             assert cli.main(argv) == 0
     records = json.loads((root / "dataset.json").read_text("utf-8"))
+    surrogate = [dict(records[0], instructions=[records[0]["instructions"][0] + " \ud800"])]
+    (root / "surrogate.json").write_text(json.dumps(surrogate), encoding="utf-8")
     for record, other in zip(records, records[1:] + records[:1]):
         record["instructions"] = other["instructions"]
     (root / "swapped.json").write_text(json.dumps(records), encoding="utf-8")
@@ -143,6 +146,10 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
 # report is written.
 @example(argv=["validate", "--config", "run.cfg", "--dataset", "swapped.json",
                "--out", "out.json"])
+# One error line: the ablated text cannot be encoded, and the file at --out
+# keeps its bytes.
+@example(argv=["ablate", "--dataset", "surrogate.json", "--mode", "nouns",
+               "--out", "dataset.json"])
 # The largest loss-check the property draws.
 @example(argv=["loss-check", "--instances", "50", "--max-vocab", "50", "--seed",
                "1234567890123456789012", "--out", "out.json"])

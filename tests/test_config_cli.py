@@ -458,6 +458,28 @@ class TestCli:
         assert err == f"error: $[1].path_id: duplicate path_id {doc[0]['path_id']}\n"
         assert not out_file.exists()
 
+    # Each file flag names a file whose bytes are not UTF-8; every other file
+    # is valid or read after it.
+    @pytest.mark.parametrize("argv", [
+        ["parse-scene", "--house", "BAD"],
+        ["sample-paths", "--house", "HOUSE", "--connectivity", "BAD"],
+        ["craft", "--house", "HOUSE", "--connectivity", "GRAPH", "--paths", "BAD"],
+        ["stats", "--dataset", "BAD"],
+        ["ablate", "--dataset", "NONE", "--mode", "nouns", "--lexicon", "BAD"],
+        ["stats", "--dataset", "NONE", "--config", "BAD"],
+    ], ids=lambda argv: argv[-2])
+    def test_file_that_is_not_utf8_is_located_error(self, workdir, tmp_path, capsys, argv):
+        bad, out_file = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_bytes(b'[\n"\xff"]')
+        files = {"BAD": str(bad), "NONE": str(tmp_path / "none.json"),
+                 "HOUSE": str(workdir / "loop0.house"),
+                 "GRAPH": str(workdir / "loop0_connectivity.json")}
+        code = main([files.get(arg, arg) for arg in argv] + ["--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {bad}: invalid UTF-8 at byte 3 (invalid start byte)\n"
+        assert not out_file.exists()
+
     def test_validate_of_no_records_is_located_error(self, workdir, tmp_path, capsys):
         dataset, out_file = tmp_path / "empty.json", tmp_path / "report.json"
         dataset.write_text("[]\n", "utf-8")

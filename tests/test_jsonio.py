@@ -414,3 +414,7 @@ def test_a_record_without_fields_builds_each_empty_object():
     with pytest.raises(JsonSchemaError) as err:
         jsonio.load('[{}, {"a": 1}]', schema)
     assert str(err.value) == "$[1]: unexpected key 'a'"
+    for check in (jsonio.record, jsonio.open_record):
+        with pytest.raises(JsonSchemaError) as err:
+            jsonio.load("[{}, 5]", jsonio.array(check(lambda: "built")))
+        assert str(err.value) == "$[1]: expected an object, found integer"
