@@ -237,6 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scene_io = argparse.ArgumentParser(add_help=False)
     _keyed(scene_io, "--house", "files.scene", help="scene file (.house text or scene JSON)")
     _keyed(scene_io, "--connectivity", "files.graph", help="connectivity JSON file")
+    dataset_in = argparse.ArgumentParser(add_help=False)
+    dataset_in.add_argument("--dataset", required=True, help="dataset JSON file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,23 +261,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _keyed(p, "--paths", "files.paths", help="sampled paths JSON file")
     p.set_defaults(func=_cmd_craft)
 
-    p = sub.add_parser("supervise", parents=[common, scene_io],
+    p = sub.add_parser("supervise", parents=[common, scene_io, dataset_in],
                        help="emit per-token object supervision for a dataset")
-    p.add_argument("--dataset", required=True, help="dataset JSON file")
     _keyed(p, "--n-objects", "aux.n_objects", type=int, help="object labels per token")
     p.set_defaults(func=_cmd_supervise)
 
-    p = sub.add_parser("ablate", parents=[common],
+    p = sub.add_parser("ablate", parents=[common, dataset_in],
                        help="rewrite dataset instructions with words removed")
-    p.add_argument("--dataset", required=True, help="dataset JSON file")
     p.add_argument("--mode", required=True,
                    choices=[mode.value for mode in AblationMode])
     _keyed(p, "--lexicon", "files.lexicon", help="word TAB tag lexicon file")
     p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("validate", parents=[common, scene_io],
+    p = sub.add_parser("validate", parents=[common, scene_io, dataset_in],
                        help="re-execute dataset instructions and score them")
-    p.add_argument("--dataset", required=True, help="dataset JSON file")
     p.add_argument("--success-radius", type=float, default=DEFAULT_SUCCESS_RADIUS)
     p.set_defaults(func=_cmd_validate)
 
@@ -294,9 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int)
     p.set_defaults(func=_cmd_loss_check)
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[common, dataset_in],
                        help="summarize a dataset file")
-    p.add_argument("--dataset", required=True, help="dataset JSON file")
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -11,16 +11,16 @@ underscores and come back with single spaces. Record counts must match the
 header and every cross index must resolve; violating files are rejected, not
 repaired. Parsing ignores record order: lists come back sorted by index.
 
-Both readers check first and locate only on failure. ``parse_house`` reads
-the lines in one loop that states the line rules once and collects each
-kind's records in batches. ``_convert`` converts a batch column by column,
-with ``int`` and ``float`` over precomputed token positions, one padding
-comparison and one ``math.isfinite`` sweep, and goes row by row with the
-converters only when that refuses. Reading stops at the first fault; the
-batches still pending are converted too, and the lowest faulty line is
-raised. ``_validate_records`` states each scene rule once, as a sweep of
-one column that walks it only when the sweep refuses, and raises the first
-fault by kind, record and rule, with its line number or JSON path.
+Both readers check first and locate only on failure. ``parse_house``
+reads the lines in runs: consecutive lines that share a first token, up to
+``_BATCH`` of them. ``_convert`` checks a run whole, with token counts, one
+padding comparison per column, ``int`` and ``float`` over precomputed token
+positions and one ``math.isfinite`` sweep, and walks it line by line with
+the converters only when that refuses. Runs are converted in line order and
+each raises its first fault, so the first faulty line is the one raised.
+``_validate_records`` states each scene rule once, as a sweep of one column
+that walks it only when the sweep refuses, and raises the first fault by
+kind, record and rule, with its line number or JSON path.
 """
 from __future__ import annotations
 
@@ -216,8 +216,7 @@ _LAYOUTS = {
         ("radii", _xyz), 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
-# Records of one kind converted together at most; a bound on the token
-# lists held at once.
+# Lines in one run at most; a bound on the token lists held at once.
 _BATCH = 128
 
 
@@ -230,41 +229,21 @@ def parse_house(text: str) -> SceneModel:
     """
     records: dict[str, list] = {kind: [] for kind in _LAYOUTS}
     lines: dict[str, list[int]] = {kind: [] for kind in _LAYOUTS}
-    rows: dict[str, list[list[str]]] = {kind: [] for kind in _LAYOUTS}  # not yet converted
-    fault = None
+    run: list[list[str]] = []  # consecutive lines of one first token, not yet converted
+    numbers: list[int] = []
     # str.split drops the carriage return numbered_lines strips, so tokens
     # and line numbers are those of numbered_lines.
     for line_no, tokens in enumerate(map(str.split, text.split("\n")), start=1):
         if not tokens:
             continue
-        kind = tokens[0]
-        layout = _LAYOUTS.get(kind)
-        if not lines["H"] and kind != "H":
-            fault = HouseParseError("expected the H header record first", line_no)
-        elif layout is None:
-            fault = HouseParseError(f"unknown record type {kind!r}", line_no)
-        elif len(tokens) != layout[1]:
-            fault = HouseParseError(
-                f"{kind} record: expected {layout[1]} tokens, found {len(tokens)}", line_no)
-        elif kind == "H" and lines["H"]:
-            fault = HouseParseError("duplicate H header record", line_no)
-        else:
-            pending = rows[kind]
-            pending.append(tokens)
-            lines[kind].append(line_no)
-            if len(pending) < _BATCH:
-                continue
-            fault = _convert(kind, pending, lines[kind], records[kind])
-            pending.clear()
-        if fault is not None:
-            break
-    # The batches still pending hold only lines before any fault found.
-    faults = [_convert(kind, pending, lines[kind], records[kind])
-              for kind, pending in rows.items() if pending]
-    fault = min(filter(None, [fault, *faults]), key=attrgetter("line_number"), default=None)
-    if fault is not None:
-        raise fault
-    if not lines["H"]:
+        if run and (tokens[0] != run[0][0] or len(run) == _BATCH):
+            _convert(run, numbers, records, lines)
+            run, numbers = [], []
+        run.append(tokens)
+        numbers.append(line_no)
+    if run:
+        _convert(run, numbers, records, lines)
+    if not records["H"]:
         raise HouseParseError("empty document: missing H header record", 1)
 
     [(scan_id, counts)] = records["H"]
@@ -286,19 +265,27 @@ def parse_house(text: str) -> SceneModel:
     return _index_sorted(SceneModel(scan_id, *sections))
 
 
-def _convert(kind: str, rows: list[list[str]], lines: list[int],
-             out: list) -> HouseParseError | None:
-    """Append the records of ``rows``, token lists of ``kind`` whose line
-    numbers end ``lines``, to ``out``; the error of the first malformed one,
-    if any. Columns of tokens go through ``int`` and ``float``, the builtins
-    ``_integer`` and ``_finite`` call, and one ``math.isfinite`` sweep. Only
-    if that refuses are the rows converted one by one, to find the fault."""
-    build, _, padding, fields = _LAYOUTS[kind]
-    columns = list(zip(*rows))
-    zeros = ("0",) * len(rows)
+def _convert(rows: list[list[str]], line_numbers: list[int], records: dict[str, list],
+             lines: dict[str, list[int]]) -> None:
+    """Append the records of ``rows``, a run of token lists that share a
+    kind, on lines ``line_numbers``, to ``records`` and their line numbers
+    to ``lines``; or raise the first fault of the run. The whole run is
+    checked first: token counts, padding columns, columns of tokens through
+    ``int`` and ``float`` (the builtins ``_integer`` and ``_finite`` call)
+    and one ``math.isfinite`` sweep. Only if that refuses are the lines
+    walked one by one, to find the fault."""
+    kind, first = rows[0][0], line_numbers[0]
+    if not records["H"] and kind != "H":
+        raise HouseParseError("expected the H header record first", first)
+    if kind not in _LAYOUTS:
+        raise HouseParseError(f"unknown record type {kind!r}", first)
+    build, n_tokens, padding, fields = _LAYOUTS[kind]
+    out = records[kind]
+    columns, zeros = list(zip(*rows)), ("0",) * len(rows)
     values, floats = [], []
     try:
-        if all(columns[at] == zeros for at in padding):
+        if (set(map(len, rows)) == {n_tokens} and (kind != "H" or len(rows) == 1 and not out)
+                and all(columns[at] == zeros for at in padding)):
             for what, convert, at in fields:
                 if convert is _integer:
                     values.append(map(int, columns[at]))
@@ -312,10 +299,16 @@ def _convert(kind: str, rows: list[list[str]], lines: list[int],
                     values.append([convert(tokens, at, what) for tokens in rows])
             if all(map(math.isfinite, chain.from_iterable(floats))):
                 out += list(map(build, *values))  # all or none: a builder may refuse
-                return None
+                lines[kind] += line_numbers
+                return
     except ValueError:
         pass
-    for tokens, line_no in zip(rows, lines[-len(rows):]):
+    for tokens, line_no in zip(rows, line_numbers):
+        if len(tokens) != n_tokens:
+            raise HouseParseError(
+                f"{kind} record: expected {n_tokens} tokens, found {len(tokens)}", line_no)
+        if kind == "H" and out:
+            raise HouseParseError("duplicate H header record", line_no)
         try:  # padding first, then the fields in token order
             for at in padding:
                 if tokens[at] != "0":
@@ -323,8 +316,8 @@ def _convert(kind: str, rows: list[list[str]], lines: list[int],
                         f"expected literal '0' padding at token {at}, found {tokens[at]!r}")
             out.append(build(*[convert(tokens, at, what) for what, convert, at in fields]))
         except ValueError as exc:
-            return HouseParseError(f"{kind} record: {exc}", line_no)
-    return None
+            raise HouseParseError(f"{kind} record: {exc}", line_no) from None
+        lines[kind].append(line_no)
 
 
 def _index_sorted(scene: SceneModel) -> SceneModel:

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
+from itertools import zip_longest
 from types import SimpleNamespace
 from typing import Any
 from unittest import mock
@@ -323,6 +324,29 @@ def _many_objects(text: str, n_objects: int) -> str:
     header[8] = str(n_objects)
     return "\n".join([" ".join(header), *kept, *objects]) + "\n"
 
+
+
+def _round_robin(lines: list[str]) -> list[str]:
+    """One line of each record kind in turn, while any is left."""
+    by_kind: dict[str, list[str]] = {}
+    for line in filter(None, lines):
+        by_kind.setdefault(line.split()[0], []).append(line)
+    return [line for turn in zip_longest(*by_kind.values()) for line in turn if line]
+
+
+# The parser converts runs of lines that share a kind. Reversed, the object
+# lines cross the run-length bound in another place; in turn, the lines of
+# TINY_HOUSE make runs of one line each.
+@pytest.mark.parametrize("grouped,order", [
+    (_many_objects(fixtures.TINY_HOUSE, 300), lambda lines: lines[::-1]),
+    (_many_objects(fixtures.TINY_HOUSE, 300), _round_robin),
+    (fixtures.TINY_HOUSE, _round_robin),
+], ids=["many-reversed", "many-in-turn", "tiny-in-turn"])
+def test_reordered_house_records_parse_as_grouped(grouped, order):
+    header, *rest = grouped.split("\n")
+    reordered = "\n".join([header, *order(rest)])
+    assert reordered.split() != grouped.split()
+    assert parse_house(reordered) == parse_house(grouped)
 
 _HOUSES = ([fixtures.TINY_HOUSE, _many_objects(fixtures.TINY_HOUSE, 300)]
            + [fx.house_text for fx in fixtures.all_scenes()])

@@ -86,6 +86,26 @@ def test_second_header_rejected():
     assert err.value.line_number == 2
 
 
+def _insert_tiny(after: int, line_no: int) -> str:
+    """TINY_HOUSE with a copy of its line ``line_no`` inserted after line ``after``."""
+    lines = fixtures.TINY_HOUSE.split("\n")
+    return "\n".join(lines[:after] + [lines[line_no - 1]] + lines[after:])
+
+
+# Where the header stands among the lines. TINY_HOUSE lines: H 1, C 5-6.
+@pytest.mark.parametrize("text,line,message", [
+    (_insert_tiny(1, 1), 2, "duplicate H header record"),
+    (_insert_tiny(6, 1), 7, "duplicate H header record"),
+    (_insert_tiny(0, 5), 1, "expected the H header record first"),
+    ("\n \n\t\n\r\n", 1, "empty document: missing H header record"),
+], ids=["H-after-H", "H-after-C", "C-before-H", "blank-only"])
+def test_header_placement_error_is_pinned(text, line, message):
+    with pytest.raises(HouseParseError) as err:
+        parse_house(text)
+    assert err.value.line_number == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_nonzero_padding_token_rejected():
     # Token 3 of the header is reserved and must be the literal "0".
     lines = fixtures.TINY_HOUSE.splitlines()
