@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import math
 import sys
+from itertools import repeat
 
 from . import jsonio
 from .aux_loss_math import gradient_check
@@ -127,9 +128,12 @@ def _cmd_ablate(cfg: RunConfig, dataset: str, mode: str) -> tuple[str, int]:
     lexicon = load_default_lexicon() if path is None else load_lexicon(_read(path))
     mode = AblationMode(mode)
     records = read_r2r_json(_read(dataset))
+    # Positional, in field order: one constructor call per record, where
+    # dataclasses.replace would first walk the field table.
     ablated = [
-        dataclasses.replace(r, instructions=tuple(ablate(text, mode, lexicon)
-                                                  for text in r.instructions))
+        DatasetRecord(r.path_id, r.scan, r.heading, r.path,
+                      tuple(map(ablate, r.instructions, repeat(mode), repeat(lexicon))),
+                      r.distance)
         for r in records
     ]
     return emit_r2r_json(ablated), 0

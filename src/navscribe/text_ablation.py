@@ -7,18 +7,21 @@ the supervision exporter, drops tokens whose tag matches the mode, and joins
 the survivors with single spaces. Unknown tokens count as ``other`` and are
 never dropped except by mode ``all``. Direction words are deliberately
 tagged ``other`` in the bundled lexicon so ablations never strip them.
+
+A lexicon is read once into a read-only ``PosLexicon`` mapping, which also
+holds, for each mode but ``all``, the set of tokens that mode drops, so
+ablating an instruction tests its tokens against one set at C level.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from importlib import resources
+from itertools import filterfalse
 
 from .scene_metadata import LineError as LexiconError  # the lexicon reader's name for it
 from .scene_metadata import numbered_lines
 from .supervision_export import tokenize
-
-# token -> tag; tags are the strings below
-PosLexicon = dict[str, str]
 
 VALID_TAGS = frozenset({"noun", "adjective", "other"})
 
@@ -39,9 +42,36 @@ _DROPPED_TAGS = {
 }
 
 
+class PosLexicon(Mapping[str, str]):
+    """A read-only token -> tag mapping, with the tokens each mode drops.
+
+    The drop sets are computed once here; being read-only, the mapping can
+    never disagree with them.
+    """
+
+    __slots__ = ("_tags", "_drops")
+
+    def __init__(self, tags: Mapping[str, str]) -> None:
+        self._tags = dict(tags)
+        self._drops = {mode: frozenset(t for t, tag in self._tags.items() if tag in dropped)
+                       for mode, dropped in _DROPPED_TAGS.items()}
+
+    def __getitem__(self, token: str) -> str:
+        return self._tags[token]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tags)
+
+    def __len__(self) -> int:
+        return len(self._tags)
+
+    def __repr__(self) -> str:
+        return f"PosLexicon({self._tags!r})"
+
+
 def load_lexicon(text: str) -> PosLexicon:
     """Parse lexicon text; duplicate tokens and unknown tags are errors."""
-    lexicon: PosLexicon = {}
+    lexicon: dict[str, str] = {}
     for line_no, raw in numbered_lines(text):
         if not raw.strip():
             continue
@@ -51,7 +81,9 @@ def load_lexicon(text: str) -> PosLexicon:
         token, tag = parts[0].strip(), parts[1].strip()
         if not token:
             raise LexiconError("empty token", line_no)
-        if tokenize(token) != [token]:  # an entry instructions can never match
+        # An entry instructions can never match; isprintable also refuses a
+        # byte-order mark or U+200B, which tokenize keeps inside a word.
+        if tokenize(token) != [token] or not token.isprintable():
             raise LexiconError("token must be one lowercase word without punctuation, "
                                f"found {token!r}", line_no)
         if tag not in VALID_TAGS:
@@ -59,7 +91,7 @@ def load_lexicon(text: str) -> PosLexicon:
         if token in lexicon:
             raise LexiconError(f"duplicate token {token!r}", line_no)
         lexicon[token] = tag
-    return lexicon
+    return PosLexicon(lexicon)
 
 
 def load_default_lexicon() -> PosLexicon:
@@ -72,6 +104,5 @@ def ablate(instruction: str, mode: AblationMode, lexicon: PosLexicon) -> str:
     """Drop the mode's word classes from an instruction."""
     if mode is AblationMode.ALL:
         return ""
-    dropped = _DROPPED_TAGS[mode]
-    # An unknown token gives None, which is never a dropped tag.
-    return " ".join([t for t in tokenize(instruction) if lexicon.get(t) not in dropped])
+    # An unknown token is in no drop set, so it stays.
+    return " ".join(filterfalse(lexicon._drops[mode].__contains__, tokenize(instruction)))

@@ -177,6 +177,7 @@ class TestGradient:
         grad = grad_logits(logits, self.TARGETS, lam=0.5, beta=0.3)
         assert math.fsum(grad) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(derandomize=True, deadline=None)
     @given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=8))
     def test_gradient_property_random_logits(self, values):
         logits = np.asarray(values)

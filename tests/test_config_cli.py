@@ -313,6 +313,24 @@ class TestCli:
         assert err.startswith("error: line 2: ") and err.count("\n") == 1, err
         assert not out_file.exists()
 
+    def test_lexicon_saved_with_byte_order_mark_is_error(self, workdir, tmp_path, capsys):
+        # Read as a key, "\ufeffsofa" would never match and the sofa would stay.
+        paths, dataset = tmp_path / "paths.json", tmp_path / "dataset.json"
+        assert main(["sample-paths", *_loop_args(workdir), "--n", "2", "--out", str(paths)]) == 0
+        assert main(["craft", *_loop_args(workdir), "--paths", str(paths),
+                     "--out", str(dataset)]) == 0
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("\ufeffsofa\tnoun\nchair\tnoun\n", "utf-8")
+        capsys.readouterr()
+        out_file = tmp_path / "ablated.json"
+        code = main(["ablate", "--dataset", str(dataset), "--mode", "nouns",
+                     "--lexicon", str(lexicon), "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: line 1: token must be one lowercase word without punctuation, "
+                       "found '\\ufeffsofa'\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("max_vocab", ["0", "1"])
     def test_loss_check_vocab_below_two_is_error(self, tmp_path, capsys, max_vocab):
         out_file = tmp_path / "loss.json"

@@ -1,8 +1,10 @@
 """House text parsing, validation errors, and canonical scene JSON."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -457,3 +459,24 @@ def test_mutated_house_parses_or_names_its_line(text):
         assert 1 <= exc.line_number <= max(1, len(text.splitlines()))
     else:
         assert isinstance(scene, SceneModel)
+
+
+def _load_scangen():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "scangen.py"
+    spec = importlib.util.spec_from_file_location("scangen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+scangen = _load_scangen()
+
+
+@settings(derandomize=True, max_examples=240, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(5, 80), st.integers(0, 600), st.integers(1, 3),
+       st.integers(1, len(scangen.CATEGORIES)))
+def test_house_and_scene_json_ingest_agree_on_generated_scans(seed, viewpoints, objects,
+                                                             levels, categories):
+    house = scangen.make_scan("gen", str(seed), viewpoints, objects, categories, levels)["house"]
+    scene = parse_house(house)
+    assert read_scene_json(write_scene_json(scene)) == scene

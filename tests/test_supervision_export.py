@@ -78,6 +78,7 @@ class TestAlignment:
         with pytest.raises(ValueError):
             align_words_to_nodes(3, 0)
 
+    @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40))
     def test_alignment_properties(self, tokens, nodes):
         out = align_words_to_nodes(tokens, nodes)
