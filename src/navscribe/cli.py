@@ -7,7 +7,6 @@ input fails to parse or a validation check fails, 2 for usage mistakes.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import gc
 import math
@@ -219,89 +218,109 @@ def _mean(values: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
 # ---------------------------------------------------------------------------
 
 
-def _keyed(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
-    """Add ``flag`` over config field ``key`` (``section.field``), with the
-    metavar argparse would derive from the flag."""
-    parser.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **kwargs)
+def _flag(option: str, key: str | None = None, **kwargs) -> tuple[str, dict]:
+    """``option`` and its ``add_argument`` keywords, with its dest. A
+    config-backed flag's dest is its RunConfig field ``key``
+    (``section.field``), with the metavar argparse would derive from the
+    option."""
+    name = option[2:].replace("-", "_")
+    if key is not None:
+        kwargs.update(dest=key, metavar=name.upper())
+    return option, {"dest": name, **kwargs}
+
+
+_OUT = (_flag("--config", help="key = value config file"),
+        _flag("--out", "files.out", help="output file path"))
+_SCENE = (_flag("--house", "files.scene", help="scene file (.house text or scene JSON)"),
+          _flag("--connectivity", "files.graph", help="connectivity JSON file"))
+_DATASET = (_flag("--dataset", required=True, help="dataset JSON file"),)
+
+# Each command: the name of its function, looked up when it runs, its help,
+# and its flags by option string, in the order --help lists them.
+_COMMANDS = {
+    "parse-scene": ("_cmd_parse_scene", "parse a .house file into canonical scene JSON", dict([
+        *_OUT, _flag("--house", "files.scene", help="scene .house file")])),
+    "sample-paths": ("_cmd_sample_paths", "sample shortest paths from the graph", dict([
+        *_OUT, *_SCENE,
+        _flag("--n", "sampler.n", type=int, help="number of paths to sample"),
+        _flag("--seed", "sampler.seed", type=int, help="random seed"),
+        _flag("--min-hops", "sampler.min_hops", type=int),
+        _flag("--max-hops", "sampler.max_hops", type=int),
+        _flag("--min-geodesic", "sampler.min_geodesic", type=float)])),
+    "craft": ("_cmd_craft", "write instructions for sampled paths", dict([
+        *_OUT, *_SCENE, _flag("--paths", "files.paths", help="sampled paths JSON file")])),
+    "supervise": ("_cmd_supervise", "emit per-token object supervision for a dataset", dict([
+        *_OUT, *_SCENE, *_DATASET,
+        _flag("--n-objects", "aux.n_objects", type=int, help="object labels per token")])),
+    "ablate": ("_cmd_ablate", "rewrite dataset instructions with words removed", dict([
+        *_OUT, *_DATASET,
+        _flag("--mode", required=True, choices=[mode.value for mode in AblationMode]),
+        _flag("--lexicon", "files.lexicon", help="word TAB tag lexicon file")])),
+    "validate": ("_cmd_validate", "re-execute dataset instructions and score them", dict([
+        *_OUT, *_SCENE, *_DATASET,
+        _flag("--success-radius", type=float, default=DEFAULT_SUCCESS_RADIUS)])),
+    "render": ("_cmd_render", "draw the surroundings of one viewpoint as SVG", dict([
+        *_OUT, *_SCENE,
+        _flag("--viewpoint", required=True),
+        _flag("--radius", type=float),
+        _flag("--width", type=int),
+        _flag("--height", type=int)])),
+    "loss-check": ("_cmd_loss_check", "verify loss gradients against finite differences", dict([
+        *_OUT,
+        _flag("--instances", type=int),
+        _flag("--seed", type=int),
+        _flag("--max-vocab", type=int)])),
+    "stats": ("_cmd_stats", "summarize a dataset file", dict([*_OUT, *_DATASET])),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help and usage errors need it, so a command loads it seldom
+
     parser = argparse.ArgumentParser(
         prog="navscribe",
         description="Compile indoor scenes and navigation graphs into "
                     "instruction-following training data.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    _keyed(common, "--out", "files.out", help="output file path")
-    scene_io = argparse.ArgumentParser(add_help=False)
-    _keyed(scene_io, "--house", "files.scene", help="scene file (.house text or scene JSON)")
-    _keyed(scene_io, "--connectivity", "files.graph", help="connectivity JSON file")
-    dataset_in = argparse.ArgumentParser(add_help=False)
-    dataset_in.add_argument("--dataset", required=True, help="dataset JSON file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse-scene", parents=[common],
-                       help="parse a .house file into canonical scene JSON")
-    _keyed(p, "--house", "files.scene", help="scene .house file")
-    p.set_defaults(func=_cmd_parse_scene)
-
-    p = sub.add_parser("sample-paths", parents=[common, scene_io],
-                       help="sample shortest paths from the graph")
-    _keyed(p, "--n", "sampler.n", type=int, help="number of paths to sample")
-    _keyed(p, "--seed", "sampler.seed", type=int, help="random seed")
-    _keyed(p, "--min-hops", "sampler.min_hops", type=int)
-    _keyed(p, "--max-hops", "sampler.max_hops", type=int)
-    _keyed(p, "--min-geodesic", "sampler.min_geodesic", type=float)
-    p.set_defaults(func=_cmd_sample_paths)
-
-    p = sub.add_parser("craft", parents=[common, scene_io],
-                       help="write instructions for sampled paths")
-    _keyed(p, "--paths", "files.paths", help="sampled paths JSON file")
-    p.set_defaults(func=_cmd_craft)
-
-    p = sub.add_parser("supervise", parents=[common, scene_io, dataset_in],
-                       help="emit per-token object supervision for a dataset")
-    _keyed(p, "--n-objects", "aux.n_objects", type=int, help="object labels per token")
-    p.set_defaults(func=_cmd_supervise)
-
-    p = sub.add_parser("ablate", parents=[common, dataset_in],
-                       help="rewrite dataset instructions with words removed")
-    p.add_argument("--mode", required=True,
-                   choices=[mode.value for mode in AblationMode])
-    _keyed(p, "--lexicon", "files.lexicon", help="word TAB tag lexicon file")
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("validate", parents=[common, scene_io, dataset_in],
-                       help="re-execute dataset instructions and score them")
-    p.add_argument("--success-radius", type=float, default=DEFAULT_SUCCESS_RADIUS)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("render", parents=[common, scene_io],
-                       help="draw the surroundings of one viewpoint as SVG")
-    p.add_argument("--viewpoint", required=True)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("loss-check", parents=[common],
-                       help="verify loss gradients against finite differences")
-    p.add_argument("--instances", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-vocab", type=int)
-    p.set_defaults(func=_cmd_loss_check)
-
-    p = sub.add_parser("stats", parents=[common, dataset_in],
-                       help="summarize a dataset file")
-    p.set_defaults(func=_cmd_stats)
-
+    for command, (func, help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for option, kwargs in flags.items():
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=globals()[func])
     return parser
+
+
+def _read_plain(argv: list[str]) -> dict | None:
+    """What ``_build_parser().parse_args(argv)`` reads from a plain ``argv``,
+    its None values left out; None for any other ``argv``. Plain is a known
+    command followed by pairs of an exact flag of that command and a value
+    that does not start with ``-``, where each value converts, is among its
+    flag's choices, and every required flag is given."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    func, _, flags = entry
+    given = {spec["dest"]: spec["default"] for spec in flags.values() if "default" in spec}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        spec = flags.get(option)
+        if spec is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[spec["dest"]] = value
+    if any(spec.get("required") and spec["dest"] not in given for spec in flags.values()):
+        return None
+    return {**given, "command": argv[0], "func": globals()[func]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,8 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     is paused: a command's records are acyclic, so reference counting frees
     them all and a collection would only walk them. However the command ends,
     collection is enabled again if it was enabled on entry."""
-    given = {dest: value for dest, value in vars(_build_parser().parse_args(argv)).items()
-             if value is not None}
+    if argv is None:
+        argv = sys.argv[1:]
+    given = _read_plain(argv)
+    if given is None:  # help, a usage error, or a spelling only argparse reads
+        given = {dest: value for dest, value in vars(_build_parser().parse_args(argv)).items()
+                 if value is not None}
     command, config = given.pop("func"), given.pop("config", None)
     del given["command"]
     keyed = {dest: given.pop(dest) for dest in [dest for dest in given if "." in dest]}
