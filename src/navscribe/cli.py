@@ -20,8 +20,8 @@ from .instruction_crafter import craft_instruction
 from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
                                    InstructionParseError, evaluate, evaluate_batch,
                                    execute, parse_crafted)
-from .nav_graph import (check_paths_on, parse_connectivity, paths_from_json, paths_to_json,
-                        sample_paths)
+from .nav_graph import (check_paths_on, check_sampler_bounds, parse_connectivity,
+                        paths_from_json, paths_to_json, sample_paths)
 from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
@@ -65,19 +65,17 @@ def _overlay(cfg: RunConfig, flags: dict) -> RunConfig:
     return cfg
 
 
-def _load_scene(path: str) -> SceneModel:
-    """Accepts raw .house text or the canonical scene JSON."""
-    text = _read(path)
-    if text.lstrip().startswith("{"):
-        return read_scene_json(text)
-    return parse_house(text)
+def _load_scene(cfg: RunConfig) -> SceneModel:
+    """Scene JSON if the file opens with { or [, past blanks and one BOM; else .house text."""
+    text = _read(_need(cfg.files.scene, "scene file (--house)"))
+    is_json = text.removeprefix("\ufeff").lstrip().startswith(("{", "["))
+    return read_scene_json(text) if is_json else parse_house(text)
 
 
 def _load_scan(cfg: RunConfig) -> Scan:
-    scene = _load_scene(_need(cfg.files.scene, "scene file (--house)"))
-    conn = _need(cfg.files.graph, "connectivity file (--connectivity)")
-    graph = parse_connectivity(_read(conn), scan_id=scene.scan_id)
-    return Scan(scene, graph, cfg.saliency)
+    scene = _load_scene(cfg)
+    conn = _read(_need(cfg.files.graph, "connectivity file (--connectivity)"))
+    return Scan(scene, parse_connectivity(conn, scan_id=scene.scan_id), cfg.saliency)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +84,13 @@ def _load_scan(cfg: RunConfig) -> Scan:
 
 
 def _cmd_parse_scene(cfg: RunConfig) -> tuple[str, int]:
-    scene = parse_house(_read(_need(cfg.files.scene, "scene file (--house)")))
-    return write_scene_json(scene), 0
+    return write_scene_json(_load_scene(cfg)), 0
 
 
 def _cmd_sample_paths(cfg: RunConfig) -> tuple[str, int]:
-    result = sample_paths(_load_scan(cfg).graph, **dataclasses.asdict(cfg.sampler))
+    s = cfg.sampler
+    check_sampler_bounds(s.n, s.min_hops, s.max_hops, s.min_geodesic)  # before any input is read
+    result = sample_paths(_load_scan(cfg).graph, **dataclasses.asdict(s))
     if result.shortfall:
         print(f"warning: {result.shortfall} fewer paths than requested", file=sys.stderr)
     return paths_to_json(result), 0

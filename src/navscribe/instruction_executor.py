@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instruction_crafter import AtomicInstruction, Motion, Turn, make_atom, render_atom
+from .instruction_crafter import AtomicInstruction, Motion, Turn, render_atom
 from .nav_graph import NavGraph, PathSpec, geodesic_distance
 from .object_saliency import ObjectRef, Relation, Scan
 from .view_geometry import heading_to, relative_bearing
@@ -88,14 +88,15 @@ def parse_crafted(text: str) -> list[AtomicInstruction]:
 
 
 def _parse_clause(clause: str, index: int) -> AtomicInstruction:
+    # A matched clause passes every make_atom check and is its own rendering.
     pair = _PLAIN.get(clause)
     if pair is not None:
-        return make_atom(*pair)
+        return AtomicInstruction(*pair, None, clause)
     for head, turn, motion, relation in _HEADS:
         if clause.startswith(head):
             category = clause[len(head):]
             if relation and category and category == category.strip():
-                return make_atom(turn, motion, ObjectRef(category, relation))
+                return AtomicInstruction(turn, motion, ObjectRef(category, relation), clause)
             raise InstructionParseError(
                 "invalid stop object" if motion is Motion.STOP else "unrecognized object phrase",
                 index, clause)

@@ -283,6 +283,18 @@ def geodesic_distance(graph: NavGraph, a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_sampler_bounds(n: int, min_hops: int, max_hops: int, min_geodesic: float) -> None:
+    """Raise ValueError for the first of ``sample_paths``' bounds out of range."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if min_hops < 0:
+        raise ValueError(f"min_hops must be non-negative, got {min_hops}")
+    if min_hops > max_hops:
+        raise ValueError(f"min_hops {min_hops} exceeds max_hops {max_hops}")
+    if not 0.0 <= min_geodesic < math.inf:
+        raise ValueError(f"min_geodesic must be finite and non-negative, got {min_geodesic}")
+
+
 def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
                  max_hops: int = 7, min_geodesic: float = 5.0) -> SampleResult:
     """Sample distinct shortest paths, fully reproducible from the seed.
@@ -309,14 +321,7 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
     no output, so the result equals that of building every source's row
     before the first draw with full searches.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if min_hops < 0:
-        raise ValueError(f"min_hops must be non-negative, got {min_hops}")
-    if min_hops > max_hops:
-        raise ValueError(f"min_hops {min_hops} exceeds max_hops {max_hops}")
-    if not 0.0 <= min_geodesic < math.inf:
-        raise ValueError(f"min_geodesic must be finite and non-negative, got {min_geodesic}")
+    check_sampler_bounds(n, min_hops, max_hops, min_geodesic)
     ids = sorted(v.id for v in graph.viewpoints if v.included)
 
     # rows[a] maps each eligible target of a not yet accepted to (path, cost);

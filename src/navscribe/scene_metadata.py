@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from operator import attrgetter, le, or_
 
 from . import jsonio
@@ -388,9 +388,9 @@ def _validate_records(categories, regions, objects, panoramas, n_levels, err) ->
              lambda obj: f"region index {obj.region_index} does not resolve"),
             (_outside(_column(objects, "category_index"), 0, len(categories) - 1),
              lambda obj: f"category index {obj.category_index} does not resolve"),
-            (_not_unit(axes0),
+            (_outside([abs(_norm(axis) - 1.0) for axis in axes0], 0.0, AXIS_TOL),
              lambda obj: f"axis0 is not unit length (norm {_norm(obj.axis0):.6f})"),
-            (_not_unit(axes1),
+            (_outside([abs(_norm(axis) - 1.0) for axis in axes1], 0.0, AXIS_TOL),
              lambda obj: f"axis1 is not unit length (norm {_norm(obj.axis1):.6f})"),
             (_outside(list(map(abs, map(_dot, axes0, axes1))), 0.0, AXIS_TOL),
              lambda obj: "axis0 and axis1 are not orthogonal"),
@@ -415,14 +415,12 @@ def _column(records, name: str) -> list:
     return list(map(attrgetter(name), records))
 
 
-def _outside(values: list, lo: float, hi: float, exact=None, per: int = 1) -> int | None:
-    """The position of the first record, of ``per`` of ``values`` each, with
-    a value below ``lo`` or above ``hi`` that ``exact(index)``, if given, also
-    refuses, or None; the values are walked only when min or max lies outside."""
+def _outside(values: list, lo: float, hi: float, per: int = 1) -> int | None:
+    """The position of the first record, of ``per`` of ``values`` each, with a
+    value outside [lo, hi], or None; walked only if min or max is outside or NaN."""
     if _within(values, lo, hi):
         return None
-    return next((at // per for at, value in enumerate(values)
-                 if (value < lo or value > hi) and (exact is None or exact(at))), None)
+    return next((at // per for at, value in enumerate(values) if value < lo or value > hi), None)
 
 
 def _repeated(values: list) -> int | None:
@@ -432,20 +430,6 @@ def _repeated(values: list) -> int | None:
         return None
     first: dict = {}  # each value's first position
     return next(pos for pos, value in enumerate(values) if first.setdefault(value, pos) != pos)
-
-
-# How far inside AXIS_TOL ``_not_unit`` sweeps axis norms, which it computes
-# with math.hypot instead of ``_norm``. Near unit length the two differ by a
-# few ulps of 1, far less than this, so ``_norm`` judges only the axes that
-# the sweep refuses: borderline ones and faults.
-_AXIS_MARGIN = 1e-9
-
-
-def _not_unit(axes: list) -> int | None:
-    """The position of the first of ``axes`` not of unit length, or None."""
-    return _outside(list(starmap(math.hypot, axes)),
-                    1.0 - AXIS_TOL + _AXIS_MARGIN, 1.0 + AXIS_TOL - _AXIS_MARGIN,
-                    lambda pos: abs(_norm(axes[pos]) - 1.0) > AXIS_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,18 @@ import gc
 import math
 
 import pytest
+from hypothesis import settings
 
 import scenes as fixtures
 from navscribe.nav_graph import NavGraph, Viewpoint, parse_connectivity
 from navscribe.object_saliency import SaliencyConfig
 from navscribe.scene_metadata import (Category, Panorama, Region, SceneModel,
                                       SceneObject, parse_house)
+
+# Every property in tier-1 replays the same examples and has no time limit;
+# a ``@settings(max_examples=...)`` decorator inherits both from this profile.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 SQUARE_POSITIONS = {
     "va": (0.0, 0.0, 0.0),

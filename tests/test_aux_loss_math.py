@@ -177,7 +177,6 @@ class TestGradient:
         grad = grad_logits(logits, self.TARGETS, lam=0.5, beta=0.3)
         assert math.fsum(grad) == pytest.approx(0.0, abs=1e-12)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=8))
     def test_gradient_property_random_logits(self, values):
         logits = np.asarray(values)
@@ -220,7 +219,7 @@ def _numpy_reference(values, targets, lam, beta):
     return log_probs, grad
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=16), st.data(),
        st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 def test_pure_python_matches_numpy_reference(values, data, lam, beta):

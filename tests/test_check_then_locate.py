@@ -389,7 +389,7 @@ def _house_texts(draw):
     return "\n".join(lines)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(_house_texts())
 def test_parse_house_equals_its_locating_path(text):
     got, oracle = _with_oracle(parse_house, text)
@@ -453,7 +453,7 @@ def _mutated(draw, doc):
 _SCENE_DOCS = [json.loads(write_scene_json(parse_house(text))) for text in _HOUSES]
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(st.sampled_from(_SCENE_DOCS).flatmap(_mutated))
 def test_read_scene_json_equals_its_locating_path(text):
     got, oracle = _with_oracle(read_scene_json, text)
@@ -500,7 +500,7 @@ def _connectivity_docs(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(_connectivity_docs().flatmap(_mutated))
 def test_parse_connectivity_equals_its_locating_path(text):
     got, oracle = _with_oracle(parse_connectivity, text)
@@ -531,7 +531,7 @@ _OTHER_READERS = {
 
 @pytest.mark.parametrize("reader,text", _OTHER_READERS.values(), ids=_OTHER_READERS.keys())
 def test_json_readers_equal_their_locating_path(reader, text):
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_mutated(json.loads(text)))
     def check(mutated):
         got, oracle = _with_oracle(reader, mutated)
@@ -541,8 +541,9 @@ def test_json_readers_equal_their_locating_path(reader, text):
 
 
 # axis0 of TINY_HOUSE's line 11 is (1, 0, 0), so its norm is its first
-# token. 1.001 and 0.9990000001 are inside AXIS_TOL but within the hypot
-# sweep's margin of it, so only the exact norm accepts them.
+# token. One sweep of ``_norm`` alone judges each axis, so 1.001 and
+# 0.9990000001, inside AXIS_TOL by a hair, pass, and 0.999, which misses by
+# one rounding step of ``norm - 1``, fails.
 @pytest.mark.parametrize("token,accepted", [("1.0009", True), ("1.001", True),
                                             ("0.9990000001", True), ("0.999", False),
                                             ("1.0010001", False), ("0.9989999", False)])
@@ -623,7 +624,7 @@ def _first_fault(validate, sections, n_levels):
     return None
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(_faulty_scenes())
 def test_validate_records_raises_the_first_fault_of_its_oracle(scene):
     sections, n_levels = scene

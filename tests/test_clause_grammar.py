@@ -140,7 +140,7 @@ _texts = st.tuples(st.lists(_clauses, min_size=1, max_size=4).map(". ".join),
                    st.sampled_from([".", ".", ".", ".", "", ". ", ".."])).map("".join)
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None)
+@settings(max_examples=1500)
 @given(_texts)
 def test_parser_equals_the_hand_written_oracle(text):
     assert _outcome(parse_crafted, text) == _outcome(_oracle_parse_crafted, text)
@@ -201,7 +201,7 @@ _NAME_PARTS = st.one_of(
 _raw_names = st.lists(_NAME_PARTS, min_size=1, max_size=4).map("".join)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(_raw_names)
 def test_every_ingestable_category_parses_back_under_every_head(raw):
     for name in _ingested(raw):

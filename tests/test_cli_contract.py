@@ -134,7 +134,7 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(argv=_argv())
 # A warning, then the error of a write that fails: one error line, no file.
 @example(argv=["sample-paths", "--config", "run.cfg", "--n", "1234567890123456789012",

@@ -96,7 +96,7 @@ def _argv(draw) -> list[str]:
     return argv
 
 
-@settings(derandomize=True, max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(argv=_argv())
 # The first of two values for one flag is not the one argparse keeps.
 @example(argv=["ablate", "--mode", "all", "--dataset", "d.json", "--mode", "nouns"])

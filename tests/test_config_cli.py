@@ -177,6 +177,49 @@ class TestCli:
         scene = read_scene_json(out.read_text("utf-8"))
         assert len(scene.panoramas) == 25
 
+    def test_parse_scene_rewrites_its_own_output_unchanged(self, workdir, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["parse-scene", "--house", str(workdir / "loop0.house"),
+                     "--out", str(first)]) == 0
+        assert main(["parse-scene", "--house", str(first), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    # A scene file is JSON when its first non-blank character, past one
+    # byte-order mark, is { or [; a .house file with a mark stays .house text.
+    @pytest.mark.parametrize("house,body,message", [
+        (False, None, "$: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                      "line 1 column 1 (char 0)"),
+        (False, "\n [1]", "$: expected an object, found array"),
+        (True, None, "line 1: expected the H header record first"),
+    ], ids=["json-byte-order-mark", "json-array", "house-byte-order-mark"])
+    def test_scene_format_is_sniffed_past_a_byte_order_mark(self, workdir, tmp_path, capsys,
+                                                            house, body, message):
+        scene, out = tmp_path / "scene", tmp_path / "out.json"
+        if house:
+            scene.write_text((workdir / "loop0.house").read_text("utf-8"), "utf-8")
+        else:
+            assert main(["parse-scene", "--house", str(workdir / "loop0.house"),
+                         "--out", str(scene)]) == 0
+        scene.write_text("\ufeff" + scene.read_text("utf-8") if body is None else body, "utf-8")
+        code = main(["sample-paths", "--house", str(scene), "--connectivity",
+                     str(workdir / "loop0_connectivity.json"), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("", ["--min-hops", "-3"], "min_hops must be non-negative, got -3"),
+        ("min_hops = 5\nmax_hops = 3\n", [], "min_hops 5 exceeds max_hops 3"),
+    ], ids=["flag", "config"])
+    def test_sampler_bounds_are_checked_before_any_input(self, tmp_path, capsys, config, flags,
+                                                         message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text(config, "utf-8")
+        code = main(["sample-paths", "--config", str(cfg),
+                     "--house", str(tmp_path / "missing.house"),
+                     "--connectivity", str(tmp_path / "missing.json"), *flags, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         code = main(["parse-scene", "--out", str(tmp_path / "x.json")])
         assert code == 2

@@ -214,7 +214,7 @@ def _outcome(load, text):
         return str(exc), exc.line_number
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None)
+@settings(max_examples=1500)
 @given(_config_texts())
 def test_load_config_matches_the_reference(text):
     got = _outcome(load_config, text)

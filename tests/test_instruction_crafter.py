@@ -119,7 +119,7 @@ _PAIRS = st.builds(lambda turn, motion: (Turn.NONE if motion is Motion.STOP else
                    st.sampled_from(Turn), st.sampled_from(Motion))
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None)
+@settings(max_examples=1500)
 @given(_PAIRS, st.sampled_from(Relation), _CATEGORIES)
 def test_make_atom_text_parses_back_or_is_refused(pair, relation, category):
     turn, motion = pair

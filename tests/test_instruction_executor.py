@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, build_scene
@@ -85,7 +85,6 @@ _move_atoms = st.builds(
 _stop_atoms = st.builds(make_atom, st.just(Turn.NONE), st.just(Motion.STOP), _refs)
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(_move_atoms, min_size=0, max_size=5), _stop_atoms)
 def test_render_parse_round_trip(moves, stop):
     atoms = list(moves) + [stop]

@@ -81,7 +81,7 @@ _FLOAT_FREE = st.recursive(
     max_leaves=25)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_FLOAT_FREE)
 def test_layout_matches_stdlib_for_any_float_free_value(value):
     assert jsonio.dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
@@ -264,7 +264,7 @@ def _record_lists(draw):
     return draw(st.sampled_from([records, {"records": records, "n": n}, [[records], 1.5]]))
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None)
+@settings(max_examples=1500)
 @given(_record_lists(), st.sampled_from([".6f", ".3e"]))
 @example([_Three(True, 1, "x"), _Three(False, 2, "y")], ".6f")
 @example([_Three(1, "x", [1.0]), _Three(True, "y", [2.0])], ".6f")
@@ -358,7 +358,7 @@ def _anything(shape):
 
 @pytest.mark.parametrize("reader,shape", SHAPES.values(), ids=SHAPES.keys())
 def test_readers_raise_only_located_schema_errors(reader, shape):
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(_documents(shape, _anything(shape)))
     def check(doc):
         try:
@@ -378,7 +378,7 @@ CONNECTIVITY = [{"image_id": _TEXT, "pose": st.lists(_COORD, min_size=16, max_si
                  "height": _COORD}]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_documents(CONNECTIVITY, _anything(CONNECTIVITY)))
 def test_connectivity_reader_raises_only_connectivity_errors(doc):
     try:

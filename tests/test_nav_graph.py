@@ -368,7 +368,7 @@ def _long_graphs(draw):
     return _graph_on(draw, points, pairs)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(graph=_sampling_graphs(), n=st.sampled_from([0, 1, 2, 3, 5, 200]),
        seed=st.integers(0, 2**64 - 1), min_hops=st.integers(0, 3),
        extra_hops=st.integers(0, 4), min_geodesic=st.sampled_from([0.0, 1.0, 1.5, 2.5]))
@@ -378,7 +378,7 @@ def test_sample_paths_equals_the_eager_reference(graph, n, seed, min_hops, extra
     assert sample_paths(*args) == eager_sample_paths(*args)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(graph=_long_graphs(), n=st.sampled_from([1, 3, 10, 500]),
        seed=st.integers(0, 2**64 - 1), max_hops=st.integers(1, 3), data=st.data(),
        min_geodesic=st.sampled_from([0.0, 1.0, 2.5]))
@@ -389,7 +389,7 @@ def test_sample_paths_equals_the_eager_reference_where_max_hops_cuts(
     assert sample_paths(*args) == eager_sample_paths(*args)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(graph=st.one_of(_sampling_graphs(), _long_graphs()), data=st.data())
 def test_bounded_search_settles_until_with_the_full_search_entries(graph, data):
     ids = [v.id for v in graph.viewpoints]
@@ -402,7 +402,7 @@ def test_bounded_search_settles_until_with_the_full_search_entries(graph, data):
     assert until & full.keys() <= bounded.keys()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(graph=st.one_of(_sampling_graphs(), _long_graphs()), data=st.data())
 def test_single_pair_searches_equal_the_full_search(graph, data):
     ids = [v.id for v in graph.viewpoints]

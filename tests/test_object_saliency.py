@@ -328,7 +328,7 @@ def _reference_anchor(reference, heading, fov):
     return None if best is None else ObjectRef(best.category, side_of_travel(heading, best.heading))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_grid_cases())
 def test_grid_candidates_equal_filtered_observe(case):
     """Both ``Scan.candidates`` and ``Scan.anchor`` equal their oracles; the

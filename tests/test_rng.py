@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from navscribe.rng import SplitMix64
@@ -46,21 +46,18 @@ def test_seed_is_masked_to_64_bits():
     assert SplitMix64(2 ** 64 + 5).next_u64() == SplitMix64(5).next_u64()
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
        st.integers(min_value=1, max_value=10 ** 12))
 def test_below_in_range(seed, bound):
     assert 0 <= SplitMix64(seed).below(bound) < bound
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_unit_in_half_open_interval(seed):
     value = SplitMix64(seed).unit()
     assert 0.0 <= value < 1.0
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_streams_reproducible(seed):
     a, b = SplitMix64(seed), SplitMix64(seed)

@@ -449,7 +449,7 @@ def _mutated_houses(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_mutated_houses())
 def test_mutated_house_parses_or_names_its_line(text):
     try:
@@ -472,7 +472,7 @@ def _load_scangen():
 scangen = _load_scangen()
 
 
-@settings(derandomize=True, max_examples=240, deadline=None)
+@settings(max_examples=240)
 @given(st.integers(0, 2 ** 32), st.integers(5, 80), st.integers(0, 600), st.integers(1, 3),
        st.integers(1, len(scangen.CATEGORIES)))
 def test_house_and_scene_json_ingest_agree_on_generated_scans(seed, viewpoints, objects,

@@ -46,7 +46,7 @@ class TestTokenize:
     def test_keeps_hyphens_and_digits(self):
         assert tokenize("room-2 ahead") == ["room-2", "ahead"]
 
-    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @settings(max_examples=1000)
     @given(_TOKENIZER_TEXT)
     @example("Turn LEFT,\x1cwalk\x1fstraight.")
     @example("\u212aitchen, Sofa!")
@@ -78,7 +78,6 @@ class TestAlignment:
         with pytest.raises(ValueError):
             align_words_to_nodes(3, 0)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40))
     def test_alignment_properties(self, tokens, nodes):
         out = align_words_to_nodes(tokens, nodes)

@@ -141,13 +141,11 @@ def _instructions(draw):
 
 
 class TestAblateProperties:
-    @settings(derandomize=True, deadline=None)
     @given(_instructions(), st.sampled_from(list(AblationMode)))
     def test_idempotent(self, text, mode):
         once = ablate(text, mode, SMALL)
         assert ablate(once, mode, SMALL) == once
 
-    @settings(derandomize=True, deadline=None)
     @given(_instructions(), st.sampled_from(list(AblationMode)))
     def test_output_is_subsequence(self, text, mode):
         source = tokenize(text)
@@ -155,7 +153,6 @@ class TestAblateProperties:
         it = iter(source)
         assert all(tok in it for tok in out)
 
-    @settings(derandomize=True, deadline=None)
     @given(_instructions())
     def test_modes_nest(self, text):
         nouns = set(tokenize(ablate(text, AblationMode.NOUNS, SMALL)))
@@ -200,7 +197,7 @@ def _lexicon_and_text(draw):
     return lexicon, "".join(pieces)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(_lexicon_and_text(), st.sampled_from(list(AblationMode)))
 def test_compiled_filter_equals_per_token_rule(lexicon_text, mode):
     lexicon, text = lexicon_text

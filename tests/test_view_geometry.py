@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from navscribe.view_geometry import (FovConfig, elevation_to,
@@ -31,7 +31,6 @@ class TestHeading:
         above = (0.0, 0.0, 4.0)
         assert heading_to(ORIGIN, above) == 0.0
 
-    @settings(derandomize=True, deadline=None)
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_range_half_open(self, dx, dy):
         h = heading_to(ORIGIN, (dx, dy, 0.0))
@@ -48,13 +47,11 @@ class TestWrap:
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.floats(-1000.0, 1000.0))
     def test_range(self, x):
         w = wrap_angle(x)
         assert -math.pi < w <= math.pi
 
-    @settings(derandomize=True, deadline=None)
     @given(st.floats(-100.0, 100.0))
     def test_wrap_preserves_angle_mod_two_pi(self, x):
         w = wrap_angle(x)
