@@ -9,26 +9,21 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import math
 import sys
-from itertools import repeat
 
 from . import jsonio
 from .aux_loss_math import gradient_check
 from .config import RunConfig, load_config
-from .instruction_crafter import craft_instruction
-from .instruction_executor import (DEFAULT_SUCCESS_RADIUS, ExecutionResult,
-                                   InstructionParseError, evaluate, evaluate_batch,
-                                   execute, parse_crafted)
+from .instruction_crafter import craft_dataset
+from .instruction_executor import DEFAULT_SUCCESS_RADIUS, validate_dataset
 from .nav_graph import (check_paths_on, check_sampler_bounds, parse_connectivity,
                         paths_from_json, paths_to_json, sample_paths)
 from .object_saliency import Scan
 from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
-from .supervision_export import (DatasetRecord, NoTokensError, build_supervision,
-                                 emit_r2r_json, emit_supervision_json, read_r2r_json,
-                                 tokenize)
-from .text_ablation import AblationMode, ablate, load_default_lexicon, load_lexicon
+from .supervision_export import (dataset_stats, emit_r2r_json, emit_supervision_json,
+                                 read_r2r_json, supervise_dataset)
+from .text_ablation import AblationMode, ablate_dataset, load_default_lexicon, load_lexicon
 
 
 class UsageError(Exception):
@@ -88,9 +83,9 @@ def _cmd_parse_scene(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_sample_paths(cfg: RunConfig) -> tuple[str, int]:
-    s = cfg.sampler
-    check_sampler_bounds(s.n, s.min_hops, s.max_hops, s.min_geodesic)  # before any input is read
-    result = sample_paths(_load_scan(cfg).graph, **dataclasses.asdict(s))
+    s = dataclasses.asdict(cfg.sampler)
+    check_sampler_bounds(**s)  # before any input is read
+    result = sample_paths(_load_scan(cfg).graph, **s)
     if result.shortfall:
         print(f"warning: {result.shortfall} fewer paths than requested", file=sys.stderr)
     return paths_to_json(result), 0
@@ -100,71 +95,29 @@ def _cmd_craft(cfg: RunConfig) -> tuple[str, int]:
     scan = _load_scan(cfg)
     sample = paths_from_json(_read(_need(cfg.files.paths, "sampled paths file (--paths)")))
     check_paths_on(scan.graph, sample.paths, "$.paths")
-    records = [DatasetRecord(path_id=path_id, scan=path.scan, heading=path.heading, path=path.path,
-                             instructions=(craft_instruction(scan, path).text,),
-                             distance=path.distance)
-               for path_id, path in enumerate(sample.paths)]
-    return emit_r2r_json(records), 0
+    return emit_r2r_json(craft_dataset(scan, sample.paths)), 0
 
 
 def _cmd_supervise(cfg: RunConfig, dataset: str) -> tuple[str, int]:
     scan = _load_scan(cfg)
     records = read_r2r_json(_read(dataset))
     check_paths_on(scan.graph, records, "$")
-    supervisions = []
-    for i, record in enumerate(records):
-        try:
-            supervisions.append(build_supervision(scan, record, record.instructions[0],
-                                                  cfg.aux.n_objects, path_id=record.path_id))
-        except NoTokensError as exc:
-            raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
-    return emit_supervision_json(supervisions), 0
+    return emit_supervision_json(supervise_dataset(scan, records, cfg.aux.n_objects)), 0
 
 
 def _cmd_ablate(cfg: RunConfig, dataset: str, mode: str) -> tuple[str, int]:
     path = cfg.files.lexicon
     lexicon = load_default_lexicon() if path is None else load_lexicon(_read(path))
-    mode = AblationMode(mode)
     records = read_r2r_json(_read(dataset))
-    # Positional, in field order: one constructor call per record, where
-    # dataclasses.replace would first walk the field table.
-    ablated = [
-        DatasetRecord(r.path_id, r.scan, r.heading, r.path,
-                      tuple(map(ablate, r.instructions, repeat(mode), repeat(lexicon))),
-                      r.distance)
-        for r in records
-    ]
-    return emit_r2r_json(ablated), 0
+    return emit_r2r_json(ablate_dataset(records, AblationMode(mode), lexicon)), 0
 
 
 def _cmd_validate(cfg: RunConfig, dataset: str, success_radius: float) -> tuple[str, int]:
     scan = _load_scan(cfg)
     records = read_r2r_json(_read(dataset))
-    if not records:
-        raise jsonio.JsonSchemaError("no records to validate")
-    check_paths_on(scan.graph, records, "$")
-    rows = []
-    metrics = []
-    for record in records:
-        try:
-            atoms = parse_crafted(record.instructions[0])
-            parse_ok = True
-            result = execute(scan, record.path[0], record.heading, atoms)
-        except InstructionParseError:
-            parse_ok = False
-            result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
-                                     stopped=False, failure_reason="instruction did not parse")
-        metrics.append(evaluate(scan.graph, record, result, success_radius))
-        rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
-                     "round_trip": parse_ok and result.stopped and result.path == record.path})
-    round_trips = sum(row["round_trip"] for row in rows)
-    report = {
-        "count": len(records),
-        "round_trip_rate": round_trips / len(rows),
-        "metrics": evaluate_batch(metrics),
-        "paths": rows,
-    }
-    return jsonio.dumps(report), 0 if round_trips == len(rows) else 1
+    check_paths_on(scan.graph, records, "$")  # no records pass, for validate_dataset to refuse
+    report = validate_dataset(scan, records, success_radius)
+    return jsonio.dumps(report), 0 if report["round_trip_rate"] == 1 else 1
 
 
 def _cmd_render(cfg: RunConfig, **spec) -> tuple[str, int]:
@@ -180,40 +133,7 @@ def _cmd_loss_check(cfg: RunConfig, **flags) -> tuple[str, int]:
 
 
 def _cmd_stats(cfg: RunConfig, dataset: str) -> tuple[str, int]:
-    records = read_r2r_json(_read(dataset))
-    # One pass that keeps no token list: the counts are integers, so the
-    # means are the same as from the lists.
-    n_instructions = n_tokens = 0
-    vocabulary: set[str] = set()
-    for r in records:
-        for text in r.instructions:
-            tokens = tokenize(text)
-            n_instructions += 1
-            n_tokens += len(tokens)
-            vocabulary.update(tokens)
-    report = {
-        "records": len(records),
-        "instructions": n_instructions,
-        "mean_tokens": (n_tokens / n_instructions) if n_instructions else 0.0,
-        "mean_path_nodes": (sum(len(r.path) for r in records) / len(records)) if records else 0.0,
-        "mean_distance": _mean([r.distance for r in records]),
-        "vocabulary": len(vocabulary),
-    }
-    return jsonio.dumps(report), 0
-
-
-def _mean(values: list[float]) -> float:
-    """The mean of finite non-negative ``values``, 0.0 for none. Where their
-    sum overflows, the values are summed scaled down by a power of two above
-    their count, which is exact but for subnormals, and the mean is capped at
-    the largest of them."""
-    if not values:
-        return 0.0
-    total = sum(values)
-    if total < math.inf:
-        return total / len(values)
-    scale = 2.0 ** len(values).bit_length()
-    return min(sum(value / scale for value in values) / len(values) * scale, max(values))
+    return jsonio.dumps(dataset_stats(read_r2r_json(_read(dataset)))), 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +154,15 @@ def _flag(option: str, key: str | None = None, **kwargs) -> tuple[str, dict]:
 
 _OUT = (_flag("--config", help="key = value config file"),
         _flag("--out", "files.out", help="output file path"))
-_SCENE = (_flag("--house", "files.scene", help="scene file (.house text or scene JSON)"),
-          _flag("--connectivity", "files.graph", help="connectivity JSON file"))
+_HOUSE = _flag("--house", "files.scene", help="scene file (.house text or scene JSON)")
+_SCENE = (_HOUSE, _flag("--connectivity", "files.graph", help="connectivity JSON file"))
 _DATASET = (_flag("--dataset", required=True, help="dataset JSON file"),)
 
 # Each command: the name of its function, looked up when it runs, its help,
 # and its flags by option string, in the order --help lists them.
 _COMMANDS = {
-    "parse-scene": ("_cmd_parse_scene", "parse a .house file into canonical scene JSON", dict([
-        *_OUT, _flag("--house", "files.scene", help="scene .house file")])),
+    "parse-scene": ("_cmd_parse_scene", "parse a scene file into canonical scene JSON", dict([
+        *_OUT, _HOUSE])),
     "sample-paths": ("_cmd_sample_paths", "sample shortest paths from the graph", dict([
         *_OUT, *_SCENE,
         _flag("--n", "sampler.n", type=int, help="number of paths to sample"),

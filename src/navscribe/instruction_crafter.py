@@ -14,6 +14,7 @@ from enum import Enum
 
 from .nav_graph import PathSpec
 from .object_saliency import ObjectRef, Relation, Scan
+from .supervision_export import DatasetRecord
 from .view_geometry import heading_to, relative_bearing
 
 # Turn classification bounds (radians, signed bearing to the next node).
@@ -176,3 +177,10 @@ def craft_instruction(scan: Scan, path: PathSpec) -> CraftedInstruction:
     atoms.append(stop_atom(scan, path.path[-1], heading))
     text = ". ".join(a.text for a in atoms) + "."
     return CraftedInstruction(tuple(atoms), text)
+
+
+def craft_dataset(scan: Scan, paths: tuple[PathSpec, ...]) -> list[DatasetRecord]:
+    """One record per path, numbered in order, with its crafted instruction."""
+    return [DatasetRecord(path_id, path.scan, path.heading, path.path,
+                          (craft_instruction(scan, path).text,), path.distance)
+            for path_id, path in enumerate(paths)]

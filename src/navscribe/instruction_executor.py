@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import jsonio
 from .instruction_crafter import AtomicInstruction, Motion, Turn, render_atom
 from .nav_graph import NavGraph, PathSpec, geodesic_distance
 from .object_saliency import ObjectRef, Relation, Scan
+from .supervision_export import DatasetRecord
 from .view_geometry import heading_to, relative_bearing
 
 # Bearing the executor steers toward for each turn class.
@@ -187,3 +189,25 @@ def evaluate_batch(metrics: list[NavMetrics]) -> NavMetrics:
         sr=sum(m.sr for m in metrics) / n,
         spl=sum(m.spl for m in metrics) / n,
     )
+
+
+def validate_dataset(scan: Scan, records: list[DatasetRecord], success_radius: float) -> dict:
+    """The report of re-executing each record's first instruction; no records is an error."""
+    if not records:
+        raise jsonio.JsonSchemaError("no records to validate")
+    rows, metrics = [], []
+    for record in records:
+        try:
+            atoms = parse_crafted(record.instructions[0])
+            parse_ok = True
+            result = execute(scan, record.path[0], record.heading, atoms)
+        except InstructionParseError:
+            parse_ok = False
+            result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
+                                     stopped=False, failure_reason="instruction did not parse")
+        metrics.append(evaluate(scan.graph, record, result, success_radius))
+        rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
+                     "round_trip": parse_ok and result.stopped and result.path == record.path})
+    rate = sum(row["round_trip"] for row in rows) / len(rows)
+    return {"count": len(records), "round_trip_rate": rate,
+            "metrics": evaluate_batch(metrics), "paths": rows}

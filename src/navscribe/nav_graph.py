@@ -283,10 +283,13 @@ def geodesic_distance(graph: NavGraph, a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_sampler_bounds(n: int, min_hops: int, max_hops: int, min_geodesic: float) -> None:
+def check_sampler_bounds(n: int, seed: int, min_hops: int, max_hops: int,
+                         min_geodesic: float) -> None:
     """Raise ValueError for the first of ``sample_paths``' bounds out of range."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if not 0 <= seed < 2**64:  # SplitMix64 would alias it to seed mod 2**64
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if min_hops < 0:
         raise ValueError(f"min_hops must be non-negative, got {min_hops}")
     if min_hops > max_hops:
@@ -321,7 +324,7 @@ def sample_paths(graph: NavGraph, n: int, seed: int, min_hops: int = 4,
     no output, so the result equals that of building every source's row
     before the first draw with full searches.
     """
-    check_sampler_bounds(n, min_hops, max_hops, min_geodesic)
+    check_sampler_bounds(n, seed, min_hops, max_hops, min_geodesic)
     ids = sorted(v.id for v in graph.viewpoints if v.included)
 
     # rows[a] maps each eligible target of a not yet accepted to (path, cost);

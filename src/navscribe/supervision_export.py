@@ -7,6 +7,7 @@ key order, 6-decimal numbers) so a given pipeline run is byte-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -123,6 +124,54 @@ def build_supervision(scan: Scan, path: PathSpec | DatasetRecord, instruction: s
         node_of_token=tuple(node_of_token),
         objects_of_token=tuple(per_node[i] for i in node_of_token),
     )
+
+
+def supervise_dataset(scan: Scan, records: list[DatasetRecord],
+                      n: int) -> list[WordObjectSupervision]:
+    """Supervision of each record's first instruction, refusing one with no tokens."""
+    supervisions = []
+    for i, record in enumerate(records):
+        try:
+            supervisions.append(build_supervision(scan, record, record.instructions[0], n,
+                                                  path_id=record.path_id))
+        except NoTokensError as exc:
+            raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
+    return supervisions
+
+
+def dataset_stats(records: list[DatasetRecord]) -> dict:
+    """Record, instruction and vocabulary counts, and mean sizes."""
+    # One pass that keeps no token list: integer counts give the lists' means exactly.
+    n_instructions = n_tokens = 0
+    vocabulary: set[str] = set()
+    for r in records:
+        for text in r.instructions:
+            tokens = tokenize(text)
+            n_instructions += 1
+            n_tokens += len(tokens)
+            vocabulary.update(tokens)
+    return {
+        "records": len(records),
+        "instructions": n_instructions,
+        "mean_tokens": (n_tokens / n_instructions) if n_instructions else 0.0,
+        "mean_path_nodes": (sum(len(r.path) for r in records) / len(records)) if records else 0.0,
+        "mean_distance": _mean([r.distance for r in records]),
+        "vocabulary": len(vocabulary),
+    }
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite non-negative ``values``, 0.0 for none. Where their
+    sum overflows, the values are summed scaled down by a power of two above
+    their count, which is exact but for subnormals, and the mean is capped at
+    the largest of them."""
+    if not values:
+        return 0.0
+    total = sum(values)
+    if total < math.inf:
+        return total / len(values)
+    scale = 2.0 ** len(values).bit_length()
+    return min(sum(value / scale for value in values) / len(values) * scale, max(values))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from enum import Enum
 from importlib import resources
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 
 from .scene_metadata import LineError as LexiconError  # the lexicon reader's name for it
 from .scene_metadata import numbered_lines
-from .supervision_export import tokenize
+from .supervision_export import DatasetRecord, tokenize
 
 VALID_TAGS = frozenset({"noun", "adjective", "other"})
 
@@ -106,3 +106,13 @@ def ablate(instruction: str, mode: AblationMode, lexicon: PosLexicon) -> str:
         return ""
     # An unknown token is in no drop set, so it stays.
     return " ".join(filterfalse(lexicon._drops[mode].__contains__, tokenize(instruction)))
+
+
+def ablate_dataset(records: list[DatasetRecord], mode: AblationMode,
+                   lexicon: PosLexicon) -> list[DatasetRecord]:
+    """The records with every instruction ablated, all else kept."""
+    # Positional: one constructor call, where dataclasses.replace walks the field table.
+    return [DatasetRecord(r.path_id, r.scan, r.heading, r.path,
+                          tuple(map(ablate, r.instructions, repeat(mode), repeat(lexicon))),
+                          r.distance)
+            for r in records]

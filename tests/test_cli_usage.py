@@ -28,7 +28,7 @@ training data.
 
 positional arguments:
   {parse-scene,sample-paths,craft,supervise,ablate,validate,render,loss-check,stats}
-    parse-scene         parse a .house file into canonical scene JSON
+    parse-scene         parse a scene file into canonical scene JSON
     sample-paths        sample shortest paths from the graph
     craft               write instructions for sampled paths
     supervise           emit per-token object supervision for a dataset
@@ -49,7 +49,7 @@ options:
   -h, --help       show this help message and exit
   --config CONFIG  key = value config file
   --out OUT        output file path
-  --house HOUSE    scene .house file
+  --house HOUSE    scene file (.house text or scene JSON)
 """,
     "sample-paths": """\
 usage: navscribe sample-paths [-h] [--config CONFIG] [--out OUT]

@@ -209,7 +209,9 @@ class TestCli:
     @pytest.mark.parametrize("config,flags,message", [
         ("", ["--min-hops", "-3"], "min_hops must be non-negative, got -3"),
         ("min_hops = 5\nmax_hops = 3\n", [], "min_hops 5 exceeds max_hops 3"),
-    ], ids=["flag", "config"])
+        ("seed = 18446744073709551616\n", [],
+         "seed must be in [0, 2**64), got 18446744073709551616"),
+    ], ids=["flag", "config", "seed"])
     def test_sampler_bounds_are_checked_before_any_input(self, tmp_path, capsys, config, flags,
                                                          message):
         cfg, out = tmp_path / "run.cfg", tmp_path / "o"
@@ -219,6 +221,21 @@ class TestCli:
                      "--connectivity", str(tmp_path / "missing.json"), *flags, "--out", str(out)])
         assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "0", "18446744073709551615", "18446744073709551616"])
+    def test_seed_is_refused_outside_64_bits(self, workdir, tmp_path, capsys, seed):
+        """A seed in [0, 2**64) samples; any other would alias one of them,
+        since SplitMix64 keeps a seed mod 2**64, so it fails and writes nothing."""
+        out = tmp_path / "paths.json"
+        code = main(["sample-paths", *_loop_args(workdir), "--n", "3", f"--seed={seed}",
+                     "--out", str(out)])
+        if 0 <= int(seed) < 2**64:
+            assert (code, capsys.readouterr().err) == (0, "")
+            assert len(paths_from_json(out.read_text("utf-8")).paths) == 3
+        else:
+            assert (code, capsys.readouterr().err) == (
+                1, f"error: seed must be in [0, 2**64), got {seed}\n")
+            assert not out.exists()
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         code = main(["parse-scene", "--out", str(tmp_path / "x.json")])

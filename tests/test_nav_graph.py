@@ -257,6 +257,12 @@ class TestSamplePaths:
             k = p.heading / (math.pi / 6)
             assert k == pytest.approx(round(k), abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, square_graph, seed):
+        # SplitMix64 keeps a seed mod 2**64, so -1 would alias 2**64 - 1.
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            sample_paths(square_graph, n=1, seed=seed, min_hops=1, max_hops=4, min_geodesic=0.0)
+
     def test_shortfall_when_constraints_unsatisfiable(self, square_graph):
         result = sample_paths(square_graph, n=5, seed=1, min_hops=9, max_hops=12,
                               min_geodesic=0.0)
