@@ -112,7 +112,8 @@ def _cmd_ablate(cfg: RunConfig, dataset: str, mode: str) -> tuple[str, int]:
     return emit_r2r_json(ablate_dataset(records, AblationMode(mode), lexicon)), 0
 
 
-def _cmd_validate(cfg: RunConfig, dataset: str, success_radius: float) -> tuple[str, int]:
+def _cmd_validate(cfg: RunConfig, dataset: str,
+                  success_radius: float = DEFAULT_SUCCESS_RADIUS) -> tuple[str, int]:
     scan = _load_scan(cfg)
     records = read_r2r_json(_read(dataset))
     check_paths_on(scan.graph, records, "$")  # no records pass, for validate_dataset to refuse
@@ -181,7 +182,7 @@ _COMMANDS = {
         _flag("--lexicon", "files.lexicon", help="word TAB tag lexicon file")])),
     "validate": ("_cmd_validate", "re-execute dataset instructions and score them", dict([
         *_OUT, *_SCENE, *_DATASET,
-        _flag("--success-radius", type=float, default=DEFAULT_SUCCESS_RADIUS)])),
+        _flag("--success-radius", type=float)])),
     "render": ("_cmd_render", "draw the surroundings of one viewpoint as SVG", dict([
         *_OUT, *_SCENE,
         _flag("--viewpoint", required=True),
@@ -224,7 +225,7 @@ def _read_plain(argv: list[str]) -> dict | None:
     if entry is None or len(argv) % 2 == 0:
         return None
     func, _, flags = entry
-    given = {spec["dest"]: spec["default"] for spec in flags.values() if "default" in spec}
+    given = {}
     for option, value in zip(argv[1::2], argv[2::2]):
         spec = flags.get(option)
         if spec is None or value.startswith("-"):

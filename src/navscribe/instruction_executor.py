@@ -15,7 +15,7 @@ from . import jsonio
 from .instruction_crafter import AtomicInstruction, Motion, Turn, render_atom
 from .nav_graph import NavGraph, PathSpec, geodesic_distance
 from .object_saliency import ObjectRef, Relation, Scan
-from .supervision_export import DatasetRecord
+from .supervision_export import DatasetRecord, _mean
 from .view_geometry import heading_to, relative_bearing
 
 # Bearing the executor steers toward for each turn class.
@@ -179,16 +179,12 @@ def evaluate(graph: NavGraph, gold: PathSpec, result: ExecutionResult,
 
 
 def evaluate_batch(metrics: list[NavMetrics]) -> NavMetrics:
-    """Mean of each metric over a non-empty batch."""
+    """Mean of each metric over a non-empty batch, by ``_mean``, so a sum
+    that overflows does not make the mean infinite."""
     if not metrics:
         raise ValueError("cannot aggregate an empty batch")
-    n = len(metrics)
-    return NavMetrics(
-        pl=sum(m.pl for m in metrics) / n,
-        ne=sum(m.ne for m in metrics) / n,
-        sr=sum(m.sr for m in metrics) / n,
-        spl=sum(m.spl for m in metrics) / n,
-    )
+    columns = zip(*((m.pl, m.ne, m.sr, m.spl) for m in metrics))
+    return NavMetrics(*(_mean(list(column)) for column in columns))
 
 
 def validate_dataset(scan: Scan, records: list[DatasetRecord], success_radius: float) -> dict:
@@ -198,16 +194,13 @@ def validate_dataset(scan: Scan, records: list[DatasetRecord], success_radius: f
     rows, metrics = [], []
     for record in records:
         try:
-            atoms = parse_crafted(record.instructions[0])
-            parse_ok = True
-            result = execute(scan, record.path[0], record.heading, atoms)
-        except InstructionParseError:
-            parse_ok = False
-            result = ExecutionResult(path=(record.path[0],), final_heading=record.heading,
-                                     stopped=False, failure_reason="instruction did not parse")
+            atoms, parse_ok = parse_crafted(record.instructions[0]), True
+        except InstructionParseError:  # no atoms: the agent stays at its start, unstopped
+            atoms, parse_ok = [], False
+        result = execute(scan, record.path[0], record.heading, atoms)
         metrics.append(evaluate(scan.graph, record, result, success_radius))
         rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
-                     "round_trip": parse_ok and result.stopped and result.path == record.path})
+                     "round_trip": result.stopped and result.path == record.path})
     rate = sum(row["round_trip"] for row in rows) / len(rows)
     return {"count": len(records), "round_trip_rate": rate,
             "metrics": evaluate_batch(metrics), "paths": rows}

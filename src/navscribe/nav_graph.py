@@ -87,6 +87,8 @@ def check_route(path: tuple[str, ...], heading: float, distance: float) -> None:
         raise ValueError(f"heading must be in [0, 2*pi), got {heading}")
     if distance < 0.0:
         raise ValueError(f"distance must be non-negative, got {distance}")
+    if not distance < math.inf:  # NaN too
+        raise ValueError(f"distance must be finite, got {distance}")
 
 
 def check_paths_on(graph: NavGraph, records, where: str) -> None:
@@ -272,8 +274,6 @@ def geodesic_distance(graph: NavGraph, a: str, b: str) -> float:
     search stops once b is settled, at the full search's cost."""
     graph.viewpoint(a)
     graph.viewpoint(b)
-    if a == b:
-        return 0.0
     best = _dijkstra_all(graph, a, until={b})
     return best[b][0] if b in best else math.inf
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -148,6 +149,39 @@ def workdir(tmp_path_factory):
 def _loop_args(root):
     return ["--house", str(root / "loop0.house"),
             "--connectivity", str(root / "loop0_connectivity.json")]
+
+
+def _line_scan(root, xs):
+    """Files of scan ``big``: an empty scene and one viewpoint per ``xs``
+    entry, ``v0`` at ``xs[0]`` joined to each other ``v{i}`` on the x axis."""
+    house, conn = root / "big.house", root / "big_connectivity.json"
+    house.write_text("H big big 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n", "utf-8")
+    entries = [{"image_id": f"v{i}", "pose": [1, 0, 0, x, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+                "included": True, "unobstructed": [(i == 0) != (j == 0) for j in range(len(xs))],
+                "height": 1.5} for i, x in enumerate(xs)]
+    conn.write_text(json.dumps(entries), "utf-8")
+    return ["--house", str(house), "--connectivity", str(conn)]
+
+
+def _mixed_dataset(root, tmp_path):
+    """Eight crafted ``loop0`` records: every other instruction is its
+    ``nouns`` ablation, which does not parse, and records 2 and 6 drop their
+    last move, so they parse and stop one edge short of the goal."""
+    paths, dataset, nouns = (tmp_path / name for name in ("p.json", "d.json", "n.json"))
+    assert main(["sample-paths", *_loop_args(root), "--n", "8", "--seed", "42",
+                 "--out", str(paths)]) == 0
+    assert main(["craft", *_loop_args(root), "--paths", str(paths), "--out", str(dataset)]) == 0
+    assert main(["ablate", "--dataset", str(dataset), "--mode", "nouns",
+                 "--out", str(nouns)]) == 0
+    doc = json.loads(dataset.read_text("utf-8"))
+    for record, ablated in list(zip(doc, json.loads(nouns.read_text("utf-8"))))[1::2]:
+        record["instructions"] = ablated["instructions"]
+    for record in doc[2::4]:
+        clauses = record["instructions"][0].split(". ")
+        record["instructions"] = [". ".join(clauses[:-2] + clauses[-1:])]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(doc), "utf-8")
+    return mixed
 
 
 # Each config-backed flag: (command, flag, key, its RunConfig field, the key's
@@ -720,6 +754,44 @@ class TestCli:
         assert sum(1 for row in doc["paths"] if not row["parse_ok"]) == 1
         assert doc["round_trip_rate"] < 1.0
 
+    @pytest.mark.parametrize("radius,digest", [
+        ([], "e441b73ab3eb014b84c0097a5b6ff3b6fc3bc19ca95ee81ee79decca5df30898"),
+        (["--success-radius", "0.5"],
+         "2e464035d248e5e24a238fd8cd3cdb4d4533c9b06fab8b039fde4279e4c9485c"),
+    ])
+    def test_validate_report_on_unparsable_text_is_pinned(self, workdir, tmp_path, radius,
+                                                          digest):
+        report = tmp_path / "report.json"
+        assert main(["validate", *_loop_args(workdir), "--dataset",
+                     str(_mixed_dataset(workdir, tmp_path)), *radius,
+                     "--out", str(report)]) == 1
+        doc = json.loads(report.read_text("utf-8"))
+        assert [row["parse_ok"] for row in doc["paths"]] == [True, False] * 4
+        assert doc["round_trip_rate"] == 0.25
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    def test_validate_mean_survives_an_overflowing_sum(self, tmp_path):
+        dataset, report = tmp_path / "dataset.json", tmp_path / "report.json"
+        dataset.write_text(json.dumps([
+            {"path_id": i, "scan": "big", "heading": heading, "path": path,
+             "instructions": ["Walk straight. Stop there."], "distance": 1e308}
+            for i, (path, heading) in enumerate([(["v0", "v1"], math.pi / 2),
+                                                 (["v1", "v0"], 3 * math.pi / 2)])]), "utf-8")
+        assert main(["validate", *_line_scan(tmp_path, [0.0, 1e308]),
+                     "--dataset", str(dataset), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text("utf-8"))
+        assert doc["metrics"]["pl"] == 1e308 and doc["round_trip_rate"] == 1
+
+    def test_sample_paths_refuses_a_route_whose_cost_overflows(self, tmp_path, capsys):
+        out_file = tmp_path / "paths.json"
+        code = main(["sample-paths", *_line_scan(tmp_path, [0.0, 1e308, -1e308]),
+                     "--n", "6", "--min-hops", "1", "--min-geodesic", "0",
+                     "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: distance must be finite, got inf\n"
+        assert not out_file.exists()
+
     def test_ablate_all_empties_instructions(self, workdir, tmp_path):
         paths = tmp_path / "paths.json"
         dataset = tmp_path / "dataset.json"
@@ -877,6 +949,20 @@ class TestCli:
         assert keyed == {"--house", "--connectivity", "--paths", "--lexicon", "--out", "--n",
                          "--seed", "--min-hops", "--max-hops", "--min-geodesic",
                          "--n-objects"}
+
+    def test_no_flag_carries_a_default(self):
+        """A flag left out is not passed on, so the library's default applies."""
+        assert [option for _, _, flags in cli._COMMANDS.values()
+                for option, spec in flags.items() if "default" in spec] == []
+
+    def test_validate_takes_the_library_success_radius(self, workdir, tmp_path):
+        dataset = _mixed_dataset(workdir, tmp_path)
+        reports = []
+        for radius in ([], ["--success-radius", "3.0"]):
+            reports.append(tmp_path / f"report{len(reports)}.json")
+            assert main(["validate", *_loop_args(workdir), "--dataset", str(dataset),
+                         *radius, "--out", str(reports[-1])]) == 1
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_render_and_loss_check_take_the_library_defaults(self, workdir, tmp_path):
         svg, report = tmp_path / "view.svg", tmp_path / "loss.json"

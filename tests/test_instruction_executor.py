@@ -200,6 +200,10 @@ class TestMetrics:
         agg = evaluate_batch(batch)
         assert agg == NavMetrics(pl=3.0, ne=2.0, sr=0.5, spl=0.25)
 
+    def test_batch_mean_survives_an_overflowing_sum(self):
+        batch = [NavMetrics(1e308, 0.0, 1.0, 1.0), NavMetrics(1e308, 0.0, 1.0, 1.0)]
+        assert evaluate_batch(batch) == NavMetrics(pl=1e308, ne=0.0, sr=1.0, spl=1.0)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_batch([])

@@ -223,6 +223,16 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec("s", ("a", "a"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("distance,message", [
+        (-math.inf, "distance must be non-negative, got -inf"),
+        (math.inf, "distance must be finite, got inf"),
+        (math.nan, "distance must be finite, got nan"),
+    ])
+    def test_distance_must_be_finite_and_non_negative(self, distance, message):
+        with pytest.raises(ValueError) as err:
+            PathSpec("s", ("a", "b"), 0.0, distance)
+        assert str(err.value) == message
+
 
 class TestSamplePaths:
     # Frozen by stepping splitmix64(7) through the documented draw order.

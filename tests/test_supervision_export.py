@@ -204,7 +204,8 @@ class TestDatasetJson:
         with pytest.raises(ValueError):
             DatasetRecord(0, "s", 0.0, ("a",), (), 1.0)
         for heading, path, distance in ((7.0, ("a",), 1.0), (0.0, ("a",), -1.0),
-                                        (0.0, ("a", "a"), 1.0)):
+                                        (0.0, ("a", "a"), 1.0), (0.0, ("a",), math.inf),
+                                        (0.0, ("a",), math.nan)):
             with pytest.raises(ValueError):
                 DatasetRecord(0, "s", heading, path, ("x.",), distance)
 
