@@ -188,17 +188,22 @@ def evaluate_batch(metrics: list[NavMetrics]) -> NavMetrics:
 
 
 def validate_dataset(scan: Scan, records: list[DatasetRecord], success_radius: float) -> dict:
-    """The report of re-executing each record's first instruction; no records is an error."""
+    """The report of re-executing each record's first instruction; no records,
+    or one whose walked length or navigation error overflows, is an error."""
     if not records:
         raise jsonio.JsonSchemaError("no records to validate")
     rows, metrics = [], []
-    for record in records:
+    for i, record in enumerate(records):
         try:
             atoms, parse_ok = parse_crafted(record.instructions[0]), True
         except InstructionParseError:  # no atoms: the agent stays at its start, unstopped
             atoms, parse_ok = [], False
         result = execute(scan, record.path[0], record.heading, atoms)
-        metrics.append(evaluate(scan.graph, record, result, success_radius))
+        metric = evaluate(scan.graph, record, result, success_radius)
+        for name, value in (("walked length", metric.pl), ("navigation error", metric.ne)):
+            if not math.isfinite(value):
+                raise jsonio.JsonSchemaError(f"{name} is not finite, got {value}", f"$[{i}]")
+        metrics.append(metric)
         rows.append({"path_id": record.path_id, "parse_ok": parse_ok,
                      "round_trip": result.stopped and result.path == record.path})
     rate = sum(row["round_trip"] for row in rows) / len(rows)

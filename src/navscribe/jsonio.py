@@ -34,16 +34,24 @@ call ``walk`` on the document: one plain recursive pass in schema order that
 raises the first fault in document order (inside one object, the earlier
 field in the schema wins) as a ``JsonSchemaError`` naming a ``json_path``
 such as ``$[3].heading``.
+
+A record's fields are its builder's parameters, in order, each checked as
+annotated: ``int``, ``str``, ``float`` and ``bool`` as scalars, three floats
+(``Vec3``) as a ``vec3``, ``tuple[T, ...]`` as an array of T and a dataclass
+as its record. A keyword overrides a field whose rule its type cannot state;
+any other annotation is a TypeError when the schema is built.
 """
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import sys
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, get_args, get_origin,
+                    get_type_hints)
 
 _quote = json.encoder.encode_basestring  # where json.dumps(s, ensure_ascii=False) ends
 
@@ -305,17 +313,45 @@ def _within(values, lo: float, hi: float) -> bool:
     return not values or (lo <= min(values) and max(values) <= hi)
 
 
-def record(build: Callable[..., Any], **fields: _Check) -> _Check:
-    """Objects with exactly the keys of ``fields``, each returned as ``build``
-    called with its checked fields, positionally in the order given. A
-    ValueError from ``build``, which holds the rules across fields, fails the
-    check at the object itself."""
-    return _record(build, fields, closed=True)
+def record(build: Callable[..., Any], **overrides: _Check) -> _Check:
+    """Objects with exactly the keys of ``build``'s parameters, each returned
+    as ``build`` called with its checked fields positionally; a field's check
+    is its override, else ``_derive``d from its annotation. A ValueError from
+    ``build``, which holds the rules across fields, fails the check at the
+    object itself."""
+    return _record(build, _fields(build, overrides), closed=True)
 
 
-def open_record(build: Callable[..., Any], **fields: _Check) -> _Check:
-    """As ``record``, but keys beyond those of ``fields`` are ignored."""
-    return _record(build, fields, closed=False)
+def open_record(build: Callable[..., Any], **overrides: _Check) -> _Check:
+    """As ``record``, but keys beyond ``build``'s parameters are ignored."""
+    return _record(build, _fields(build, overrides), closed=False)
+
+
+def _fields(build: Callable[..., Any], overrides: dict[str, _Check]) -> dict[str, _Check]:
+    names = list(inspect.signature(build).parameters)
+    unknown = [name for name in overrides if name not in names]
+    if unknown:
+        raise TypeError(f"{build.__qualname__}: no field {unknown[0]!r} to override")
+    hints = get_type_hints(build)
+    return {name: overrides.get(name) or _derive(hints.get(name), f"{build.__qualname__}.{name}")
+            for name in names}
+
+
+_SCALARS = {int: integer, str: string, float: number, bool: boolean}
+
+
+def _derive(kind: Any, where: str) -> _Check:
+    """The check of a field annotated ``kind``, as the module docstring maps it."""
+    if kind in _SCALARS:
+        return _SCALARS[kind]
+    if kind == tuple[float, float, float]:
+        return vec3
+    args = get_args(kind)
+    if get_origin(kind) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return array(_derive(args[0], where))
+    if dataclasses.is_dataclass(kind):
+        return record(kind)
+    raise TypeError(f"{where}: no check derives from the annotation {kind!r}")
 
 
 def _record(build: Callable[..., Any], fields: dict[str, _Check], closed: bool) -> _Check:

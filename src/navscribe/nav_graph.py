@@ -146,14 +146,7 @@ def _viewpoint_entry(image_id: str, pose: tuple[float, ...], included: bool,
     return Viewpoint(image_id, (pose[3], pose[7], pose[11]), height, included), unobstructed
 
 
-_CONNECTIVITY_SCHEMA = jsonio.array(jsonio.open_record(
-    _viewpoint_entry,
-    image_id=jsonio.string,
-    pose=jsonio.array(jsonio.number),
-    included=jsonio.boolean,
-    unobstructed=jsonio.array(jsonio.boolean),
-    height=jsonio.number,
-))
+_CONNECTIVITY_SCHEMA = jsonio.array(jsonio.open_record(_viewpoint_entry))
 
 
 def parse_connectivity(text: str, scan_id: str = "") -> NavGraph:
@@ -365,17 +358,8 @@ def paths_to_json(result: SampleResult) -> str:
     return jsonio.dumps(result)
 
 
-_PATHS_SCHEMA = jsonio.record(
-    SampleResult,
-    shortfall=jsonio.integer,
-    paths=jsonio.array(jsonio.record(
-        PathSpec,
-        scan=jsonio.string,
-        path=jsonio.array(jsonio.string, 1),
-        heading=jsonio.number,
-        distance=jsonio.number,
-    )),
-)
+_PATHS_SCHEMA = jsonio.record(SampleResult, paths=jsonio.array(
+    jsonio.record(PathSpec, path=jsonio.array(jsonio.string, 1))))
 
 
 def paths_from_json(text: str) -> SampleResult:

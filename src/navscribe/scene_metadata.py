@@ -466,23 +466,7 @@ def write_scene_json(scene: SceneModel) -> str:
     return jsonio.dumps(_index_sorted(scene))
 
 
-_SCENE_SCHEMA = jsonio.record(
-    SceneModel,
-    scan_id=jsonio.string,
-    categories=jsonio.array(jsonio.record(
-        Category, index=jsonio.integer, mapping_index=jsonio.integer, name=jsonio.string,
-        mpcat40_index=jsonio.integer, mpcat40_name=jsonio.string)),
-    regions=jsonio.array(jsonio.record(
-        Region, index=jsonio.integer, level_index=jsonio.integer, label=jsonio.string,
-        position=jsonio.vec3, bbox_lo=jsonio.vec3, bbox_hi=jsonio.vec3)),
-    objects=jsonio.array(jsonio.record(
-        SceneObject, index=jsonio.integer, region_index=jsonio.integer,
-        category_index=jsonio.integer, center=jsonio.vec3, axis0=jsonio.vec3,
-        axis1=jsonio.vec3, radii=jsonio.vec3)),
-    panoramas=jsonio.array(jsonio.record(
-        Panorama, name=jsonio.string, index=jsonio.integer, region_index=jsonio.integer,
-        position=jsonio.vec3)),
-)
+_SCENE_SCHEMA = jsonio.record(SceneModel)
 
 
 def read_scene_json(text: str) -> SceneModel:

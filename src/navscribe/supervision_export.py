@@ -200,14 +200,8 @@ def emit_r2r_json(records: list[DatasetRecord]) -> str:
 
 
 _DATASET_SCHEMA = jsonio.array(jsonio.record(
-    DatasetRecord,
-    path_id=jsonio.integer,
-    scan=jsonio.string,
-    heading=jsonio.number,
-    path=jsonio.array(jsonio.string, 1),
-    instructions=jsonio.array(jsonio.string, 1),
-    distance=jsonio.number,
-))
+    DatasetRecord, path=jsonio.array(jsonio.string, 1),
+    instructions=jsonio.array(jsonio.string, 1)))
 
 
 def read_r2r_json(text: str) -> list[DatasetRecord]:
@@ -221,13 +215,7 @@ def emit_supervision_json(supervisions: list[WordObjectSupervision]) -> str:
     return _dumps_by_path_id(supervisions)
 
 
-_SUPERVISION_SCHEMA = jsonio.array(jsonio.record(
-    WordObjectSupervision,
-    path_id=jsonio.integer,
-    tokens=jsonio.array(jsonio.string),
-    node_of_token=jsonio.array(jsonio.integer),
-    objects_of_token=jsonio.array(jsonio.array(jsonio.string)),
-))
+_SUPERVISION_SCHEMA = jsonio.array(jsonio.record(WordObjectSupervision))
 
 
 def read_supervision_json(text: str) -> list[WordObjectSupervision]:

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import json
 import math
 import sys
+import typing
 from contextlib import ExitStack
 from itertools import zip_longest
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
 from unittest import mock
@@ -60,6 +63,11 @@ def _exactly(kind: type, what: str):
     return check
 
 
+_integer = _exactly(int, "an integer")
+_string = _exactly(str, "a string")
+_boolean = _exactly(bool, "a boolean")
+
+
 def _number(value):
     if type(value) is not float and type(value) is not int:
         raise _expected("a number", value)
@@ -95,8 +103,23 @@ def _vec3(value):
     return _numbers(value)
 
 
+def _item_check(kind):
+    """The item-by-item check of a field annotated ``kind``."""
+    if kind == tuple[float, float, float]:
+        return _vec3
+    if typing.get_origin(kind) is tuple:
+        return _array(_item_check(typing.get_args(kind)[0]))
+    if dataclasses.is_dataclass(kind):
+        return _record(closed=True)(kind)
+    return {int: _integer, str: _string, float: _number, bool: _boolean}[kind]
+
+
 def _record(closed):
-    def record(build, **fields):
+    def record(build, **overrides):
+        hints = typing.get_type_hints(build)
+        fields = {name: overrides.get(name) or _item_check(hints[name])
+                  for name in inspect.signature(build).parameters}
+
         def check(value):
             if type(value) is not dict:
                 raise _expected("an object", value)
@@ -124,8 +147,7 @@ def _record(closed):
 
 
 _ITEM_BY_ITEM = SimpleNamespace(
-    integer=_exactly(int, "an integer"), string=_exactly(str, "a string"),
-    boolean=_exactly(bool, "a boolean"), number=_number, vec3=_vec3, array=_array,
+    integer=_integer, string=_string, boolean=_boolean, number=_number, vec3=_vec3, array=_array,
     record=_record(closed=True), open_record=_record(closed=False))
 
 
@@ -302,6 +324,26 @@ def _with_oracle(reader, text):
     if got[0] == "ok" and reader in _SCHEMA_OF:  # a valid document is never walked
         assert _SCHEMA_OF[reader].fast([json.loads(text)]) is not None
     return got, oracle
+
+
+def test_every_reader_loads_a_module_level_schema():
+    """``_rebuilt_schemas`` finds schemas by their ``*_SCHEMA`` names, so
+    each ``jsonio.load`` in the package passes one that ``_SCHEMAS`` holds."""
+    loaded = []
+    for path in sorted(Path(jsonio.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"navscribe.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "jsonio":
+                assert "load" not in [alias.name for alias in node.names], path.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "jsonio"):
+                schema = [*node.args[1:], *(k.value for k in node.keywords)][0]
+                where = f"{path.name}:{node.lineno}"
+                assert isinstance(schema, ast.Name) and schema.id.endswith("_SCHEMA"), where
+                assert getattr(module, schema.id) in _SCHEMAS, where
+                loaded.append(schema.id)
+    assert len(set(loaded)) == len(loaded) == len(_SCHEMAS)
 
 
 # ---------------------------------------------------------------------------

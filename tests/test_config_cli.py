@@ -782,6 +782,27 @@ class TestCli:
         doc = json.loads(report.read_text("utf-8"))
         assert doc["metrics"]["pl"] == 1e308 and doc["round_trip_rate"] == 1
 
+    @pytest.mark.parametrize("path,text,message", [
+        (["v0", "v1", "v0"], "Walk straight. Walk straight. Stop there.",
+         "walked length is not finite, got inf"),
+        (["v0", "v1"], "Turn around, walk straight. Stop there.",
+         "navigation error is not finite, got inf"),
+    ], ids=["walked_length", "navigation_error"])
+    def test_validate_locates_a_metric_that_overflows(self, tmp_path, capsys, path, text,
+                                                      message):
+        dataset, report = tmp_path / "dataset.json", tmp_path / "report.json"
+        records = [{"path_id": 0, "scan": "big", "heading": math.pi / 2, "path": ["v0", "v1"],
+                    "instructions": ["Walk straight. Stop there."], "distance": 1e308},
+                   {"path_id": 1, "scan": "big", "heading": math.pi / 2, "path": path,
+                    "instructions": [text], "distance": 1.0}]
+        dataset.write_text(json.dumps(records + [{**records[1], "path_id": 2}]), "utf-8")
+        code = main(["validate", *_line_scan(tmp_path, [0.0, 1e308, -1e308]),
+                     "--dataset", str(dataset), "--out", str(report)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: $[1]: {message}\n"
+        assert not report.exists()
+
     def test_sample_paths_refuses_a_route_whose_cost_overflows(self, tmp_path, capsys):
         out_file = tmp_path / "paths.json"
         code = main(["sample-paths", *_line_scan(tmp_path, [0.0, 1e308, -1e308]),

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from navscribe import jsonio
 from navscribe.jsonio import JsonSchemaError
-from navscribe.nav_graph import ConnectivityError, NavGraph, parse_connectivity, paths_from_json
-from navscribe.scene_metadata import SceneObject, read_scene_json
-from navscribe.supervision_export import (WordObjectSupervision, read_r2r_json,
+from navscribe.nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
+                                 parse_connectivity, paths_from_json, paths_to_json)
+from navscribe.scene_metadata import (Category, Panorama, Region, SceneModel, SceneObject,
+                                      read_scene_json, write_scene_json)
+from navscribe.supervision_export import (DatasetRecord, WordObjectSupervision, emit_r2r_json,
+                                          emit_supervision_json, read_r2r_json,
                                           read_supervision_json)
 
 
@@ -418,3 +421,71 @@ def test_a_record_without_fields_builds_each_empty_object():
         with pytest.raises(JsonSchemaError) as err:
             jsonio.load("[{}, 5]", jsonio.array(check(lambda: "built")))
         assert str(err.value) == "$[1]: expected an object, found integer"
+
+
+@dataclass(frozen=True)
+class _Untyped:
+    count: int
+    extra: dict
+
+
+@dataclass(frozen=True)
+class _Optional:
+    name: str | None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    label: str
+    inner: tuple[_Untyped, ...]
+
+
+@pytest.mark.parametrize("check", [jsonio.record, jsonio.open_record])
+@pytest.mark.parametrize("build,overrides,message", [
+    (_Untyped, {}, "_Untyped.extra: no check derives from the annotation <class 'dict'>"),
+    (_Optional, {}, "_Optional.name: no check derives from the annotation str | None"),
+    (_Outer, {}, "_Untyped.extra: no check derives from the annotation <class 'dict'>"),
+    (PathSpec, {"paht": jsonio.string}, "PathSpec: no field 'paht' to override"),
+], ids=["dict", "optional", "nested", "unknown_override"])
+def test_a_schema_that_cannot_be_derived_is_refused(check, build, overrides, message):
+    with pytest.raises(TypeError) as err:
+        check(build, **overrides)
+    assert str(err.value) == message
+
+
+def _scene(n):
+    """A valid scene with ``n`` records of each kind."""
+    return SceneModel(
+        "scan",
+        tuple(Category(i, i + 1, f"thing {i}", i + 2, "misc") for i in range(n)),
+        tuple(Region(i, 0, "room", (i + 0.5, 0.25, 0.0), (i + 0.0, -1.5, 0.0),
+                     (i + 1.0, 1.5, 3.0)) for i in range(n)),
+        tuple(SceneObject(i, i - 1, i, (i + 0.5, 0.25, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          (0.5, 0.25, 0.125)) for i in range(n)),
+        tuple(Panorama(f"p{i}", i, i, (i + 0.5, 0.5, 1.5)) for i in range(n)))
+
+
+# Each JSON format: its writer, its reader, and a value of it whose lists
+# hold ``n`` records.
+ROUND_TRIPS = {
+    "paths": (paths_to_json, paths_from_json, lambda n: SampleResult(n, tuple(
+        PathSpec("scan", ("a", f"v{i}"), 0.5 * i, i + 0.25) for i in range(n)))),
+    "dataset": (emit_r2r_json, read_r2r_json, lambda n: [
+        DatasetRecord(i, "scan", 0.5, ("a", f"v{i}", "b"), ("Walk on.", "Go")[:i + 1], 1.75 * i)
+        for i in range(n)]),
+    "supervision": (emit_supervision_json, read_supervision_json, lambda n: [
+        WordObjectSupervision(i, ("walk", "on")[:i + 1], (0, 2)[:i + 1],
+                              (("door", "bed"), ())[:i + 1])
+        for i in range(n)]),
+    "scene": (write_scene_json, read_scene_json, _scene),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["one_record", "several_records"])
+@pytest.mark.parametrize("fmt", ROUND_TRIPS)
+def test_each_format_reads_back_what_its_writer_wrote(fmt, n):
+    """One record renders item by item, several field by field through
+    ``_record_texts``; both read back to equal objects."""
+    write, read, build = ROUND_TRIPS[fmt]
+    value = build(n)
+    assert read(write(value)) == value
