@@ -7,9 +7,8 @@ the loss arithmetic used to weigh the extra word-prediction tasks.
 """
 from __future__ import annotations
 
-from .aux_loss_math import (LossBreakdown, WordTargets, gradient_check,
-                            grad_logits, log_softmax, nll, sequence_loss,
-                            word_loss)
+import importlib
+
 from .config import (AuxConfig, ConfigError, FileConfig, RunConfig,
                      SamplerConfig, load_config)
 from .instruction_crafter import (AtomicInstruction, CraftedInstruction, Motion,
@@ -26,7 +25,6 @@ from .nav_graph import (ConnectivityError, NavGraph, PathSpec, SampleResult,
 from .object_saliency import (DEFAULT_BLACKLIST, ObjectRef, Relation,
                               SaliencyConfig, Scan, best_object,
                               filter_candidates, observe, side_of_travel)
-from .render_svg import RenderSpec, render_viewpoint
 from .rng import SplitMix64
 from .scene_metadata import (Category, HouseParseError, Panorama, Region,
                              SceneJsonError, SceneModel, SceneObject,
@@ -44,6 +42,21 @@ from .view_geometry import (FovConfig, ObservedObject, elevation_to,
                             relative_bearing, wrap_angle)
 
 __version__ = "0.1.0"
+
+# Exports of the modules no compile command needs, each imported on first access.
+_LAZY = {
+    **dict.fromkeys(["LossBreakdown", "WordTargets", "gradient_check", "grad_logits",
+                     "log_softmax", "nll", "sequence_loss", "word_loss"], "aux_loss_math"),
+    **dict.fromkeys(["RenderSpec", "render_viewpoint"], "render_svg"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AblationMode", "AtomicInstruction", "AuxConfig", "Category", "ConfigError",

@@ -19,7 +19,7 @@ GRAD_CHECK_TOLERANCE = 1e-6
 _FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordTargets:
     """Targets for one decoded word: 3 originals, object words, crafted word."""
 
@@ -32,7 +32,7 @@ class WordTargets:
             raise ValueError(f"exactly 3 original targets required, got {len(self.originals)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossBreakdown:
     base: float
     objects_term: float

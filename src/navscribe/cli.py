@@ -12,14 +12,12 @@ import gc
 import sys
 
 from . import jsonio
-from .aux_loss_math import gradient_check
 from .config import RunConfig, load_config
 from .instruction_crafter import craft_dataset
 from .instruction_executor import DEFAULT_SUCCESS_RADIUS, validate_dataset
 from .nav_graph import (check_paths_on, check_sampler_bounds, parse_connectivity,
                         paths_from_json, paths_to_json, sample_paths)
 from .object_saliency import Scan
-from .render_svg import RenderSpec, render_viewpoint
 from .scene_metadata import SceneModel, parse_house, read_scene_json, write_scene_json
 from .supervision_export import (dataset_stats, emit_r2r_json, emit_supervision_json,
                                  read_r2r_json, supervise_dataset)
@@ -122,11 +120,15 @@ def _cmd_validate(cfg: RunConfig, dataset: str,
 
 
 def _cmd_render(cfg: RunConfig, **spec) -> tuple[str, int]:
+    from .render_svg import RenderSpec, render_viewpoint  # no compile command needs it
+
     scan = _load_scan(cfg)
     return render_viewpoint(scan.scene, scan.graph, RenderSpec(**spec)), 0
 
 
 def _cmd_loss_check(cfg: RunConfig, **flags) -> tuple[str, int]:
+    from .aux_loss_math import gradient_check  # no compile command needs it
+
     report = gradient_check(**flags, **dataclasses.asdict(cfg.aux))
     # Relative errors sit far below 1e-6, so fixed six-decimal floats would
     # flatten them to zero; the report uses scientific notation instead.

@@ -17,7 +17,7 @@ from .scene_metadata import numbered_lines
 from .view_geometry import FovConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplerConfig:
     n: int = 100
     seed: int = 1
@@ -26,7 +26,7 @@ class SamplerConfig:
     min_geodesic: float = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuxConfig:
     lam: float = 0.5
     beta: float = 0.3
@@ -37,7 +37,7 @@ class AuxConfig:
             raise ValueError(f"n_objects must be at least 1, got {self.n_objects}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileConfig:
     scene: str | None = None
     graph: str | None = None
@@ -46,7 +46,7 @@ class FileConfig:
     out: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     saliency: SaliencyConfig = field(default_factory=SaliencyConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)

@@ -39,7 +39,7 @@ class Motion(Enum):
     STOP = "stop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicInstruction:
     turn: Turn
     motion: Motion
@@ -47,7 +47,7 @@ class AtomicInstruction:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CraftedInstruction:
     atoms: tuple[AtomicInstruction, ...]
     text: str

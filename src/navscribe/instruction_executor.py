@@ -41,7 +41,7 @@ class InstructionParseError(ValueError):
         self.fragment = fragment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     path: tuple[str, ...]
     final_heading: float
@@ -49,7 +49,7 @@ class ExecutionResult:
     failure_reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NavMetrics:
     pl: float
     ne: float

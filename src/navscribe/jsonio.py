@@ -28,7 +28,8 @@ at one place in every item of an array, at the top level just the document,
 and tests it whole at C level: exact-type scalars with one
 ``set(map(type, ...))`` test (so true is no integer), numbers when all are
 finite (integers become floats), arrays and ``vec3`` values as one run of all
-their items, records column by column, built at the end. It returns the
+their items, records column by column, built at the end by ``from_columns``.
+It returns the
 values converted, or None if any is at fault, and only then does ``load``
 call ``walk`` on the document: one plain recursive pass in schema order that
 raises the first fault in document order (inside one object, the earlier
@@ -40,6 +41,16 @@ annotated: ``int``, ``str``, ``float`` and ``bool`` as scalars, three floats
 (``Vec3``) as a ``vec3``, ``tuple[T, ...]`` as an array of T and a dataclass
 as its record. A keyword overrides a field whose rule its type cannot state;
 any other annotation is a TypeError when the schema is built.
+
+``from_columns`` builds a slotted dataclass's records without its
+``__init__``, whose frozen ``object.__setattr__`` per field would cost more
+than the reading: it makes the instances bare, sets each field's whole
+column through the field's slot at C level, then runs ``__post_init__``, if
+there is one, record by record, so the first record it refuses raises what
+the constructor would. Such a builder's ``__init__`` parameters must be its
+fields, in order and positional; one with an ``InitVar``, an ``init=False``
+or a ``kw_only`` field is a TypeError when the schema is built. Any other
+builder, a function or a class, is called row by row.
 """
 from __future__ import annotations
 
@@ -48,6 +59,7 @@ import inspect
 import json
 import math
 import sys
+from collections import deque
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, get_args, get_origin,
@@ -328,7 +340,13 @@ def open_record(build: Callable[..., Any], **overrides: _Check) -> _Check:
 
 
 def _fields(build: Callable[..., Any], overrides: dict[str, _Check]) -> dict[str, _Check]:
-    names = list(inspect.signature(build).parameters)
+    parameters = inspect.signature(build).parameters.values()
+    names = [parameter.name for parameter in parameters]
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    if _slotted(build) and ([(p.name, p.kind) for p in parameters]
+                            != [(f.name, positional) for f in dataclasses.fields(build)]):
+        raise TypeError(f"{build.__qualname__}: __init__ parameters {names} "
+                        "are not its fields, in order and positional")
     unknown = [name for name in overrides if name not in names]
     if unknown:
         raise TypeError(f"{build.__qualname__}: no field {unknown[0]!r} to override")
@@ -365,8 +383,8 @@ def _record(build: Callable[..., Any], fields: dict[str, _Check], closed: bool) 
                        for name, field in fields.items()]
             if None in columns:
                 return None
-            # map needs a column to build from.
-            return list(map(build, *columns)) if columns else [build() for _ in values]
+            # A record of no fields has no column to count the records by.
+            return from_columns(build, columns, len(columns[0]) if columns else len(list(values)))
         except (KeyError, ValueError):  # a missing key, or a value build refuses
             return None
 
@@ -387,3 +405,26 @@ def _record(build: Callable[..., Any], fields: dict[str, _Check], closed: bool) 
             raise JsonSchemaError(str(exc), json_path) from None
 
     return _Check(fast, walk)
+
+
+def _slotted(build: Callable[..., Any]) -> bool:
+    """Whether ``build`` is a dataclass that declares its fields' slots."""
+    return (isinstance(build, type) and dataclasses.is_dataclass(build)
+            and "__slots__" in vars(build))
+
+
+def from_columns(build: Callable[..., Any], columns: list[Iterable], n: int) -> list:
+    """``list(map(build, *columns))``: ``n`` records, from ``build``'s
+    columns in the order of its fields (or arguments), each an iterable of
+    ``n`` items. A slotted dataclass's records are built as the module
+    docstring says; any other builder is called row by row. A builder that
+    refuses any record raises, so a caller gets all the records or none."""
+    if not _slotted(build):
+        return list(map(build, *columns)) if columns else [build() for _ in range(n)]
+    records = list(map(object.__new__, repeat(build, n)))
+    for field, column in zip(dataclasses.fields(build), columns):
+        deque(map(getattr(build, field.name).__set__, records, column), 0)
+    post_init = getattr(build, "__post_init__", None)
+    if post_init is not None:
+        deque(map(post_init, records), 0)
+    return records

@@ -26,7 +26,7 @@ HEADING_CHOICES = 12  # discrete initial headings, k * pi/6
 ConnectivityError = jsonio.JsonSchemaError  # the connectivity reader's name for it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Viewpoint:
     id: str
     position: Vec3
@@ -111,7 +111,7 @@ def check_paths_on(graph: NavGraph, records, where: str) -> None:
                 raise jsonio.JsonSchemaError(str(exc), f"{where}[{i}].path[{k}]") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSpec:
     """A concrete path with its initial agent heading: a paths file entry."""
 
@@ -124,7 +124,7 @@ class PathSpec:
         check_route(self.path, self.heading, self.distance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleResult:
     """Unsatisfied requests plus the sampled paths: a whole paths file."""
 

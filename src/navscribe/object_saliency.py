@@ -48,13 +48,13 @@ class Relation(Enum):
     TOWARD = "toward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectRef:
     category: str
     relation: Relation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaliencyConfig:
     max_distance: float = 3.5
     min_area: float = 0.2

@@ -16,7 +16,7 @@ from .scene_metadata import SceneModel, category_name
 from .view_geometry import Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenderSpec:
     viewpoint: str
     radius: float = 4.0

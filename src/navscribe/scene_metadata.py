@@ -64,7 +64,7 @@ def numbered_lines(text: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Category:
     index: int
     mapping_index: int
@@ -73,7 +73,7 @@ class Category:
     mpcat40_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     index: int
     level_index: int
@@ -83,7 +83,7 @@ class Region:
     bbox_hi: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneObject:
     index: int
     region_index: int
@@ -94,7 +94,7 @@ class SceneObject:
     radii: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Panorama:
     name: str
     index: int
@@ -102,7 +102,7 @@ class Panorama:
     position: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneModel:
     scan_id: str
     categories: tuple[Category, ...]
@@ -298,7 +298,7 @@ def _convert(rows: list[list[str]], line_numbers: list[int], records: dict[str, 
                 else:  # names and labels, of the few C and R records: one call each
                     values.append([convert(tokens, at, what) for tokens in rows])
             if all(map(math.isfinite, chain.from_iterable(floats))):
-                out += list(map(build, *values))  # all or none: a builder may refuse
+                out += jsonio.from_columns(build, values, len(rows))  # all or none
                 lines[kind] += line_numbers
                 return
     except ValueError:

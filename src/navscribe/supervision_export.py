@@ -23,7 +23,7 @@ _STRIP_TABLE = str.maketrans("", "", PUNCTUATION)
 _STRIP_BYTES = PUNCTUATION.encode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetRecord:
     """One training path with its instruction texts."""
 
@@ -40,7 +40,7 @@ class DatasetRecord:
         check_route(self.path, self.heading, self.distance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordObjectSupervision:
     """Per-token node assignment and object labels for one instruction."""
 

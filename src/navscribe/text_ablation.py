@@ -18,7 +18,9 @@ from collections.abc import Iterator, Mapping
 from enum import Enum
 from importlib import resources
 from itertools import filterfalse, repeat
+from operator import attrgetter
 
+from .jsonio import from_columns
 from .scene_metadata import LineError as LexiconError  # the lexicon reader's name for it
 from .scene_metadata import numbered_lines
 from .supervision_export import DatasetRecord, tokenize
@@ -111,8 +113,11 @@ def ablate(instruction: str, mode: AblationMode, lexicon: PosLexicon) -> str:
 def ablate_dataset(records: list[DatasetRecord], mode: AblationMode,
                    lexicon: PosLexicon) -> list[DatasetRecord]:
     """The records with every instruction ablated, all else kept."""
-    # Positional: one constructor call, where dataclasses.replace walks the field table.
-    return [DatasetRecord(r.path_id, r.scan, r.heading, r.path,
-                          tuple(map(ablate, r.instructions, repeat(mode), repeat(lexicon))),
-                          r.distance)
-            for r in records]
+    def column(name: str) -> Iterator:
+        return map(attrgetter(name), records)
+
+    ablated = (tuple(map(ablate, texts, repeat(mode), repeat(lexicon)))
+               for texts in column("instructions"))
+    # DatasetRecord's fields in order, as its constructor takes them.
+    return from_columns(DatasetRecord, [column("path_id"), column("scan"), column("heading"),
+                                        column("path"), ablated, column("distance")], len(records))

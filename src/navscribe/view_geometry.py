@@ -17,7 +17,7 @@ Vec3 = tuple[float, float, float]
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FovConfig:
     """Closed angular window around a facing direction."""
 
@@ -32,7 +32,7 @@ class FovConfig:
             raise ValueError("elevation_lo must be below elevation_hi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedObject:
     """One object as observed from a specific position."""
 

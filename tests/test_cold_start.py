@@ -4,7 +4,8 @@ Every CLI command is a fresh process, so each module the command line
 imports is loaded again per command. The compile path needs neither numpy
 nor the network stack that ``xml.sax.saxutils`` drags in through
 ``urllib.request``, and only help and usage errors need ``argparse`` and the
-``gettext`` it imports.
+``gettext`` it imports. The loss arithmetic and the renderer are loaded
+only by the two commands that use them.
 
 The probes run under ``-I``, which ignores ``PYTHONDONTWRITEBYTECODE``, so a
 caller that writes no bytecode passes ``-B`` on: otherwise a test run would
@@ -21,7 +22,7 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 HEAVY = ("numpy", "xml.sax", "urllib.request", "http.client", "ssl", "email", "argparse",
-         "gettext")
+         "gettext", "navscribe.aux_loss_math", "navscribe.render_svg")
 
 # Modules already loaded by the interpreter's start-up are not navscribe's.
 _PROBE = """

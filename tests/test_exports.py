@@ -1,6 +1,8 @@
 """The package's export list names only what the package holds, once each,
-and the package holds only modules that ``import navscribe`` or the command
-line loads."""
+and the package holds only modules that ``import navscribe`` loads, the
+command line, and the two modules no compile command needs (the loss
+arithmetic and the renderer), whose exports the package imports on first
+access."""
 from __future__ import annotations
 
 import collections
@@ -8,6 +10,8 @@ import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import navscribe
 
@@ -38,7 +42,16 @@ def test_every_module_but_the_command_line_is_loaded_by_the_package():
     done = subprocess.run([sys.executable, *flags, "-c", _PROBE, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["__main__", "cli"]
+    assert json.loads(done.stdout) == ["__main__", "aux_loss_math", "cli", "render_svg"]
+
+
+def test_lazy_exports_are_their_modules_own_objects():
+    from navscribe import aux_loss_math, render_svg
+    assert navscribe.gradient_check is aux_loss_math.gradient_check
+    assert navscribe.RenderSpec is render_svg.RenderSpec
+    assert set(navscribe._LAZY) <= set(navscribe.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_export'"):
+        navscribe.no_such_export
 
 
 def test_object_ref_is_one_class_under_every_import_path():
