@@ -16,9 +16,13 @@ throughout (an exact str, an exact int, a finite float, a non-empty array of
 exact strs, or non-empty arrays of exact finite floats that all have one
 length, such as a ``Vec3``) is mapped at C level; a float array's items are
 formatted in one flat ``map``, and each array is one ``%`` against a template
-with a slot per item. Any other field renders value by value, as an item of
-an object would. ``zip`` pulls the columns record by record, so the first bad
-value in document order raises, with its own type and message.
+with a slot per item. A field of other non-empty arrays, such as int arrays
+or arrays of arrays, renders all their items as one flat column by these same
+rules, and each array is one ``join`` of its share of it. Any other field,
+one with an empty array among them, renders value by value, as an item of an
+object would. ``zip`` pulls the columns record by record, and each column
+renders lazily, so the first bad value in document order raises, with its own
+type and message.
 
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
@@ -154,7 +158,8 @@ def _record_texts(records: list | tuple, nl: str, float_fmt: str) -> Iterator[st
 def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]]:
     """A ``%`` slot and the lazily mapped texts of one field of every record;
     ``nl`` starts the field's line. A field of one fast kind throughout maps
-    at C level; any other renders value by value."""
+    at C level, one of other non-empty arrays through the column of all their
+    items; any other renders value by value."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
@@ -176,6 +181,12 @@ def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]]:
             texts = map(format, chain.from_iterable(values), repeat(float_fmt))
             array = f"[{inner}{(',' + inner).join(repeat('%s', n))}{nl}]"
             return "%s", map(array.__mod__, zip(*repeat(texts, n)))
+        # Any other items: one column of them all, each array one join of its share.
+        slot, texts = _column(list(chain.from_iterable(values)), inner, float_fmt)
+        if slot != "%s":
+            texts = map(slot.__mod__, texts)
+        return (f"[{inner}%s{nl}]",
+                map(("," + inner).join, map(islice, repeat(texts), map(len, values))))
     return "%s", (_scalar(value, float_fmt) or _render(value, nl, float_fmt) for value in values)
 
 

@@ -26,6 +26,7 @@ from .view_geometry import (
     in_fov,
     projected_area,
     relative_bearing,
+    wrap_angle,
 )
 
 DEFAULT_BLACKLIST = frozenset(
@@ -38,6 +39,8 @@ TOWARD_HALF_WIDTH = math.pi / 12
 _NEIGHBOUR_COLUMNS = tuple(itertools.product((-1, 0, 1), repeat=2))
 # center, object index, category name, projected area, mentionable
 _Entry = tuple[Vec3, int, str, float, bool]
+# What Scan.anchor's table holds for a question not yet asked; None is an answer.
+_UNASKED = object()
 
 
 class Relation(Enum):
@@ -122,16 +125,22 @@ def filter_candidates(observed: list[ObservedObject], cfg: SaliencyConfig) -> li
 class Scan:
     """One scan's viewpoint facts, built once per command.
 
-    Holds the scene, graph and saliency settings, panoramas by name, and a
-    lazily filled table of the mentionable objects seen from each position.
-    ``anchor`` is the one view query that crafter and executor make of it.
-    The table is keyed by position, not viewpoint id, because a viewpoint has
-    two: edge clauses, the executor and supervision observe from the
-    connectivity pose, stop clauses from the scene's panorama record. Merging
-    them changes output bytes (the ROADMAP.md open item "one position per
-    viewpoint"). Only filtered candidates are stored, to keep the table small.
+    Holds the scene, graph and saliency settings, panoramas by name, and two
+    lazily filled tables, so that a command computes each answer once however
+    often it asks: the mentionable objects seen from each position, and the
+    ``anchor`` of each ``(position, heading)``. They grow with the distinct
+    questions asked, so a long-lived ``Scan`` keeps every answer it gave.
+    ``anchor`` is the one view query that crafter and executor make of it. A
+    heading of -0.0 shares the entry of 0.0, whose anchor is the same; a
+    heading that ``wrap_angle`` refuses raises, even where nothing is in view,
+    and makes no entry. The tables are keyed by position, not viewpoint id,
+    because a viewpoint has two: edge clauses, the executor and supervision
+    observe from the connectivity pose, stop clauses from the scene's panorama
+    record. Merging them changes output bytes (the ROADMAP.md open item "one
+    position per viewpoint"). Only filtered candidates are stored, to keep the
+    table small.
 
-    A table entry equals ``tuple(filter_candidates(observe(...), cfg))`` but
+    A candidate entry equals ``tuple(filter_candidates(observe(...), cfg))`` but
     is computed from an index built on the first query: columns keyed by the
     (y, z) cell of the object centers, each holding its entries sorted by x
     and the parallel list of their x values. A query bisects the slab
@@ -154,6 +163,7 @@ class Scan:
         self.cfg = cfg
         self.panoramas: dict[str, Panorama] = {p.name: p for p in scene.panoramas}
         self._candidates: dict[Vec3, tuple[ObservedObject, ...]] = {}
+        self._anchors: dict[tuple[Vec3, float], ObjectRef | None] = {}
         self._columns: dict[tuple[int, int], tuple[list[float], list[_Entry]]] | None = None
         self._edge = self._reach = 0.0
 
@@ -166,10 +176,14 @@ class Scan:
 
     def anchor(self, position: Vec3, heading: float) -> ObjectRef | None:
         """What a clause facing heading names: best_object in view, with its side of travel."""
-        best = best_object(self.candidates(position), heading, self.cfg.fov)
-        if best is None:
-            return None
-        return ObjectRef(best.category, side_of_travel(heading, best.heading))
+        key = (position, heading)
+        found = self._anchors.get(key, _UNASKED)
+        if found is _UNASKED:
+            wrap_angle(heading)  # refuses a non-finite heading, which no entry may key
+            best = best_object(self.candidates(position), heading, self.cfg.fov)
+            found = self._anchors[key] = None if best is None else ObjectRef(
+                best.category, side_of_travel(heading, best.heading))
+        return found
 
     def _build_index(self) -> None:
         cfg = self.cfg

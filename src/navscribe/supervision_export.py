@@ -107,33 +107,41 @@ class NoTokensError(ValueError):
 
 
 def build_supervision(scan: Scan, path: PathSpec | DatasetRecord, instruction: str, n: int,
-                      path_id: int = 0) -> WordObjectSupervision:
+                      path_id: int = 0, *,
+                      labels: dict[str, tuple[str, ...]] | None = None) -> WordObjectSupervision:
     """Token-to-node alignment plus per-token object labels for one instruction;
-    of ``path`` only ``path.path`` is read, so a DatasetRecord serves too."""
+    of ``path`` only ``path.path`` is read, so a DatasetRecord serves too.
+    ``labels`` maps node ids to their label tuples for this ``n``, and gains
+    those of the nodes it lacks, so that calls sharing it rank each node once
+    and share its tuple; without it, a call ranks its own nodes."""
     tokens = tokenize(instruction)
     if not tokens:
         raise NoTokensError("instruction has no tokens after tokenization")
+    if labels is None:
+        labels = {}
     node_of_token = align_words_to_nodes(len(tokens), len(path.path))
-    per_node: dict[int, tuple[str, ...]] = {}
-    for node_idx in node_of_token:
-        if node_idx not in per_node:
-            per_node[node_idx] = tuple(top_n_objects(scan, node=path.path[node_idx], n=n))
+    nodes = list(map(path.path.__getitem__, node_of_token))
+    for node in dict.fromkeys(nodes):
+        if node not in labels:
+            labels[node] = tuple(top_n_objects(scan, node=node, n=n))
     return WordObjectSupervision(
         path_id=path_id,
         tokens=tuple(tokens),
         node_of_token=tuple(node_of_token),
-        objects_of_token=tuple(per_node[i] for i in node_of_token),
+        objects_of_token=tuple(map(labels.__getitem__, nodes)),
     )
 
 
 def supervise_dataset(scan: Scan, records: list[DatasetRecord],
                       n: int) -> list[WordObjectSupervision]:
-    """Supervision of each record's first instruction, refusing one with no tokens."""
+    """Supervision of each record's first instruction, refusing one with no
+    tokens; each node is ranked once, and its label tuple shared."""
     supervisions = []
+    labels: dict[str, tuple[str, ...]] = {}
     for i, record in enumerate(records):
         try:
             supervisions.append(build_supervision(scan, record, record.instructions[0], n,
-                                                  path_id=record.path_id))
+                                                  path_id=record.path_id, labels=labels))
         except NoTokensError as exc:
             raise jsonio.JsonSchemaError(str(exc), f"$[{i}].instructions[0]") from None
     return supervisions

@@ -239,9 +239,13 @@ _OTHER_KINDS = [
     st.lists(_ANY_TEXT, max_size=2).map(tuple),
     st.lists(st.lists(_ANY_TEXT, max_size=2).map(tuple), max_size=2).map(tuple),
     st.lists(_FINITE | _ANY_TEXT, min_size=1, max_size=3),
+    st.lists(st.integers() | st.booleans(), min_size=1, max_size=3).map(tuple),
+    st.lists(st.lists(_FINITE, max_size=2).map(tuple), min_size=1, max_size=2).map(tuple),
     st.builds(_One, st.integers()),
     st.just(frozenset()),
 ]
+# One label tuple that supervision records share by identity.
+_LABELS = ("sofa", "lamp")
 # Values that break a field's kind when one later record holds them.
 _BREAKERS = [math.nan, -math.inf, True, 0, 0.5, None, "s", (), ("t",), (0.25,), [1],
              ((0.5,),), _Label("l"), _Metres(2.0), _One(1), frozenset(),
@@ -286,6 +290,14 @@ def _record_lists(draw):
          ".6f")
 @example([WordObjectSupervision(i, ("go", "to", "the sofa"), (0, i, 1),
                                 (("sofa", "lamp"), (), ("sofa",))) for i in range(3)], ".6f")
+@example([_Three((1, -2), [3], "a"), _Three((4,), [5, 6], "b")], ".6f")
+@example([_One((("a", "b"), ())), _One((("c",),))], ".6f")
+@example([_One((1, True)), _One((2, 3))], ".6f")
+@example([_Three(1, ((0.5,), (1.0,)), "a"), _Three(2, ((2.0,), (math.nan, 1.0)), "b")], ".6f")
+@example([_Three(1, ((0.5,),), "a"), _Three({1: 2}, ((math.nan,),), "b")], ".6f")
+@example([_Three(frozenset(), ((1.0,),), 1), _Three(2, ((2.0, math.nan),), 3)], ".6f")
+@example([WordObjectSupervision(i, ("a", "b", "c"), (0, 0, 1), (_LABELS, _LABELS, ()))
+          for i in range(2)], ".6f")
 def test_record_lists_render_as_item_by_item(value, float_fmt):
     expected = _outcome(lambda: _item_by_item(value, float_fmt))
     got = _outcome(lambda: jsonio.dumps(value, float_fmt=float_fmt))
