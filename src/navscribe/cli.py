@@ -36,10 +36,22 @@ def _read(path: str) -> str:
             raise ValueError(f"{path}: invalid UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
+# Characters of ASCII text that _write encodes and writes at a time.
+_SLICE = 1 << 16
+
+
 def _write(path: str, text: str) -> None:
-    data = text.encode("utf-8")  # before the open, so a text that cannot be encoded writes nothing
+    """Write ``text`` to ``path`` as UTF-8. ASCII text, which always encodes,
+    is encoded and written one ``_SLICE`` at a time, so its bytes never exist
+    whole. Other text is encoded whole before the file is opened, so a text
+    that cannot be encoded, such as one holding a lone surrogate, writes
+    nothing."""
+    if text.isascii():
+        data = (text[at:at + _SLICE].encode("ascii") for at in range(0, len(text), _SLICE))
+    else:
+        data = (text.encode("utf-8"),)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(data)
 
 
 def _need(value: str | None, what: str) -> str:

@@ -4,9 +4,12 @@
 does, but renders floats in one fixed format (6 decimal places by default),
 which stdlib json cannot pin. It keeps dict insertion order, uses LF line
 endings and ends the document with a single newline. A dataclass instance
-becomes an object of its fields in declaration order. Each container is one
-``join`` of its items' texts, so an array of scalars costs no recursion, and
-strings go through the C string encoder stdlib json itself uses.
+becomes an object of its fields in declaration order. Strings go through the
+C string encoder stdlib json itself uses. A document is one ``join`` of its
+pieces: its brackets, separators, key prefixes, scalar texts and record texts,
+appended in document order to one flat list, with the final newline last. No
+container's text is copied into its parent's, so ``dumps`` peaks at about the
+texts of the records plus the document.
 
 A list or tuple of two or more records of exactly one dataclass type, such
 as a dataset or a scene's objects, always renders field by field. Each field
@@ -20,9 +23,9 @@ with a slot per item. A field of other non-empty arrays, such as int arrays
 or arrays of arrays, renders all their items as one flat column by these same
 rules, and each array is one ``join`` of its share of it. Any other field,
 one with an empty array among them, renders value by value, as an item of an
-object would. ``zip`` pulls the columns record by record, and each column
-renders lazily, so the first bad value in document order raises, with its own
-type and message.
+object would, each value's text one ``join`` of its own pieces. ``zip``
+pulls the columns record by record, and each column renders lazily, so the
+first bad value in document order raises, with its own type and message.
 
 ``load`` decodes with stdlib ``json`` and applies a schema composed of the
 checks below (``integer``, ``number``, ``string``, ``boolean``, ``array``,
@@ -73,7 +76,10 @@ _quote = json.encoder.encode_basestring  # where json.dumps(s, ensure_ascii=Fals
 
 
 def dumps(value: Any, *, float_fmt: str = ".6f") -> str:
-    return _render(value, "\n", float_fmt) + "\n"
+    pieces: list[str] = []
+    _render(value, "\n", float_fmt, pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def _scalar(value: Any, float_fmt: str) -> str | None:
@@ -90,38 +96,57 @@ def _scalar(value: Any, float_fmt: str) -> str | None:
     return "null" if value is None else None
 
 
-def _render(value: Any, nl: str, float_fmt: str) -> str:
-    """The text of ``value``; ``nl`` (a newline and an indent) starts the
-    line of its closing bracket. Items render in order, so the first bad one
-    raises; a list of records of one type renders through ``_record_texts``.
-    A scalar's text is never empty, so ``_scalar(v) or _render(v)`` calls
-    ``_render`` only for containers and rejected values."""
+def _text(value: Any, nl: str, float_fmt: str) -> str:
+    """The text of one value, as one join of its pieces."""
+    pieces: list[str] = []
+    _render(value, nl, float_fmt, pieces)
+    return "".join(pieces)
+
+
+def _render(value: Any, nl: str, float_fmt: str, out: list[str]) -> None:
+    """Append the pieces of ``value``'s text to ``out``; ``nl`` (a newline
+    and an indent) starts the line of its closing bracket. Items render in
+    order, so the first bad one raises; a list of records of one type renders
+    through ``_record_texts``. Each item's pieces go to ``out`` itself, so no
+    container's text is ever copied into its parent's."""
     text = _scalar(value, float_fmt)
     if text is not None:
-        return text
+        out.append(text)
+        return
     if isinstance(value, float):
         raise ValueError(f"non-finite number not serializable: {value}")
     if not isinstance(value, (dict, list, tuple)) and dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     inner = nl + "  "
+    comma = "," + inner  # after each item; the closing bracket replaces the last
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        out.append("{" + inner)
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string key: {key!r}")
-            text = _scalar(item, float_fmt) or _render(item, inner, float_fmt)
-            items.append(f"{_quote(key)}: {text}")
-        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+            out.append(f"{_quote(key)}: ")
+            _render(item, inner, float_fmt, out)
+            out.append(comma)
+        out[-1] = nl + "}"
+        return
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        items = (not isinstance(value[0], _NOT_RECORDS) and len(value) > 1
-                 and _record_texts(value, inner, float_fmt)
-                 or [_scalar(item, float_fmt) or _render(item, inner, float_fmt)
-                     for item in value])
-        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+            out.append("[]")
+            return
+        out.append("[" + inner)
+        records = (not isinstance(value[0], _NOT_RECORDS) and len(value) > 1
+                   and _record_texts(value, inner, float_fmt))
+        if records:
+            out += chain.from_iterable(zip(records, repeat(comma)))
+        else:
+            for item in value:
+                _render(item, inner, float_fmt, out)
+                out.append(comma)
+        out[-1] = nl + "]"
+        return
     raise TypeError(f"unsupported type for canonical JSON: {type(value).__name__}")
 
 
@@ -187,7 +212,7 @@ def _column(values: list, nl: str, float_fmt: str) -> tuple[str, Iterator[str]]:
             texts = map(slot.__mod__, texts)
         return (f"[{inner}%s{nl}]",
                 map(("," + inner).join, map(islice, repeat(texts), map(len, values))))
-    return "%s", (_scalar(value, float_fmt) or _render(value, nl, float_fmt) for value in values)
+    return "%s", map(_text, values, repeat(nl), repeat(float_fmt))
 
 
 class JsonSchemaError(ValueError):

@@ -15,7 +15,9 @@ import json
 import os
 import pathlib
 import shutil
+import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +152,9 @@ def _run(argv: list[str]) -> tuple[int | None, str, str]:
 # keeps its bytes.
 @example(argv=["ablate", "--dataset", "surrogate.json", "--mode", "nouns",
                "--out", "dataset.json"])
+# The same, where no file was at --out: none is made.
+@example(argv=["ablate", "--dataset", "surrogate.json", "--mode", "nouns",
+               "--out", "out.json"])
 # The largest loss-check the property draws.
 @example(argv=["loss-check", "--instances", "50", "--max-vocab", "50", "--seed",
                "1234567890123456789012", "--out", "out.json"])
@@ -177,3 +182,45 @@ def test_every_call_keeps_the_exit_contract(inputs, argv):
     elif code == 2:
         assert len(told) == 1 and told[0].startswith("usage error: "), (argv, err)
         assert after == before, argv
+
+
+def _ascii(n: int) -> str:
+    """``n`` printable ASCII characters with a period prime to the slice
+    size, so a slice written out of place changes the bytes."""
+    return "".join(chr(32 + i % 95) for i in range(n))
+
+
+_S = cli._SLICE
+
+
+@pytest.mark.parametrize("text", [
+    *(_ascii(n) for n in (0, 1, _S - 1, _S, _S + 1, 3 * _S + 7)),
+    "caf\u00e9 \u4e2d \U0001f600\n",
+    _ascii(_S + 1) + "\u00e9",
+], ids=["0", "1", "S-1", "S", "S+1", "3S+7", "non_ascii", "non_ascii_past_a_slice"])
+def test_write_puts_the_utf8_of_its_text(tmp_path, text):
+    path = tmp_path / "out.json"
+    cli._write(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_an_ascii_write_holds_one_slice_as_text_and_as_bytes(tmp_path):
+    """Writing megabytes of ASCII costs at most one slice as text and the
+    same slice as bytes more than writing one character does."""
+    path = str(tmp_path / "out.json")
+    text = _ascii(40 * _S)
+    piece = text[:_S]
+    two_slices = sys.getsizeof(piece) + sys.getsizeof(piece.encode("ascii"))
+    del piece
+    cli._write(path, "x")
+    peaks = []
+    tracemalloc.start()
+    try:
+        for written in ("x", text):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cli._write(path, written)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= two_slices
